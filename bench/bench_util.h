@@ -4,6 +4,7 @@
 #ifndef BENCH_BENCH_UTIL_H_
 #define BENCH_BENCH_UTIL_H_
 
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -201,6 +202,22 @@ inline HostInfo QueryHostInfo() {
   return info;
 }
 
+// Peak resident memory of this process in MB (VmHWM in /proc/self/status,
+// which, unlike getrusage's ru_maxrss, does not survive execve); 0 where the
+// platform cannot say.
+inline double PeakRssMb() {
+  std::string status;
+  std::string error;
+  if (!asfobs::ReadTextFile("/proc/self/status", &status, &error)) {
+    return 0.0;
+  }
+  const size_t pos = status.find("VmHWM:");
+  if (pos == std::string::npos) {
+    return 0.0;
+  }
+  return std::strtod(status.c_str() + pos + 6, nullptr) / 1024.0;  // In KiB.
+}
+
 inline const std::vector<uint32_t>& ThreadCounts() {
   static const std::vector<uint32_t> kThreads = {1, 2, 4, 8};
   return kThreads;
@@ -229,11 +246,14 @@ inline asfcommon::Table LatencyTable(
 // Collects the tables a benchmark printed and writes them as one JSON
 // document: {"benchmark", "quick", "seed", "tables": [{title, header,
 // rows}...]}. Rows are kept as strings, exactly as printed, so the report is
-// byte-comparable across runs.
+// byte-comparable across runs; the host header's peak_rss_mb and wall_s vary
+// from run to run.
 class JsonReport {
  public:
+  // Every bench builds its report right after parsing its arguments, so the
+  // header's host wall seconds span the whole run.
   JsonReport(std::string benchmark, const Options& opt)
-      : benchmark_(std::move(benchmark)), opt_(opt) {}
+      : benchmark_(std::move(benchmark)), opt_(opt), start_(std::chrono::steady_clock::now()) {}
 
   void Add(const asfcommon::Table& t) {
     if (opt_.json_path.empty()) {
@@ -287,12 +307,16 @@ class JsonReport {
     // parse time), so reports from different hosts stay interpretable.
     w.KV("jobs", static_cast<uint64_t>(opt_.jobs));
     // Host header: throughput rows are only comparable across machines with
-    // the same visible-CPU counts (see QueryHostInfo).
+    // the same visible-CPU counts (see QueryHostInfo). Peak RSS and wall
+    // seconds make every report a data point of the run's host cost.
     const HostInfo host = QueryHostInfo();
     w.Key("host");
     w.BeginObject();
     w.KV("cpus", static_cast<uint64_t>(host.cpus));
     w.KV("affinity_cpus", static_cast<uint64_t>(host.affinity_cpus));
+    w.KV("peak_rss_mb", PeakRssMb());
+    w.KV("wall_s",
+         std::chrono::duration<double>(std::chrono::steady_clock::now() - start_).count());
     w.EndObject();
     w.Key("tables");
     w.BeginArray();
@@ -379,6 +403,7 @@ class JsonReport {
  private:
   std::string benchmark_;
   Options opt_;
+  std::chrono::steady_clock::time_point start_;
   std::vector<asfcommon::Table> tables_;
   std::vector<std::pair<std::string, asfobs::LatencyStats>> latency_;
   std::vector<std::pair<std::string, asfobs::HeatmapStats>> heatmap_;

@@ -65,6 +65,27 @@ BENCHMARK(BM_SimulatedTxThroughput)
     ->Arg(static_cast<int>(harness::RuntimeKind::kTinyStm))
     ->Unit(benchmark::kMillisecond);
 
+// Host cost of machine set-up and teardown: one 8-core paper machine plus the
+// runtime, as every sweep job builds them before its first simulated cycle.
+void BM_MachineConstruct(benchmark::State& state) {
+  const auto runtime = static_cast<harness::RuntimeKind>(state.range(0));
+  harness::IntsetConfig cfg;
+  cfg.threads = 8;
+  cfg.runtime = runtime;
+  const asf::MachineParams params =
+      harness::PaperMachineParams(cfg.variant, cfg.threads, cfg.timer_interrupts);
+  for (auto _ : state) {
+    asf::Machine m(params);
+    auto rt = harness::MakeRuntime(runtime, m, cfg);
+    benchmark::DoNotOptimize(rt.get());
+  }
+  state.SetLabel(harness::RuntimeKindName(runtime));
+}
+BENCHMARK(BM_MachineConstruct)
+    ->DenseRange(static_cast<int>(harness::RuntimeKind::kAsfTm),
+                 static_cast<int>(harness::RuntimeKind::kLockElision))
+    ->Unit(benchmark::kMillisecond);
+
 }  // namespace
 
 BENCHMARK_MAIN();

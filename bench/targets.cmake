@@ -7,12 +7,13 @@ function(asf_add_bench name)
   target_link_libraries(${name} PRIVATE asf_harness)
   set_target_properties(${name} PROPERTIES RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
   # Smoke test: a --quick run must succeed and emit a parseable --json report
-  # containing the required top-level keys (validated by tools/json_check).
+  # containing the required keys, host cost header included (validated by
+  # tools/json_check).
   add_test(NAME bench_smoke_${name}
            COMMAND ${name} --quick --json ${CMAKE_BINARY_DIR}/bench/${name}.smoke.json)
   add_test(NAME bench_smoke_${name}_json
            COMMAND json_check ${CMAKE_BINARY_DIR}/bench/${name}.smoke.json
-                   benchmark quick seed tables)
+                   benchmark quick seed tables host.peak_rss_mb host.wall_s)
   set_tests_properties(bench_smoke_${name}_json PROPERTIES
                        DEPENDS bench_smoke_${name})
 endfunction()

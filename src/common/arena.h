@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <new>
+#include <type_traits>
 #include <utility>
 
 #include "src/common/defs.h"
@@ -46,10 +47,25 @@ class SimArena {
   }
 
   // Allocates a zero-initialized array of `count` Ts.
+  //
+  // Arena bytes come from a fresh anonymous mapping, which the kernel hands
+  // out zero-filled, and the bump allocator never frees or reuses them. A
+  // span of trivially default-constructible, trivially destructible Ts
+  // therefore already holds its value-initialized (all-zero) state, and is
+  // returned unconstructed: writing those zeros would only fault in every
+  // host page of the span, which for the STM's orec table and logs is tens
+  // of MiB that a run mostly never touches. Types with default member
+  // initializers are still constructed. An arena reset or reuse would break
+  // this invariant and must revisit the skip.
   template <typename T>
   T* NewArray(uint64_t count, uint64_t align = 64) {
     void* p = Alloc(count * sizeof(T), align);
-    return new (p) T[count]();
+    if constexpr (std::is_trivially_default_constructible_v<T> &&
+                  std::is_trivially_destructible_v<T>) {
+      return static_cast<T*>(p);
+    } else {
+      return new (p) T[count]();
+    }
   }
 
   uint64_t base() const { return reinterpret_cast<uint64_t>(base_); }

@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/asf/machine.h"
@@ -38,9 +39,11 @@ namespace asftm {
 struct TinyStmParams {
   uint32_t orec_count_log2 = 20;  // 2^20 orecs (8 MiB), as TinySTM defaults.
   // Capacity of the arena-backed per-thread read/write logs, in entries.
-  // The defaults hold the paper's workloads with wide margin; the litmus
-  // explorer shrinks them (with the orec table) so a machine-per-
-  // interleaving search does not spend its host time zero-filling logs.
+  // The defaults hold the paper's workloads with wide margin. The table and
+  // logs are never zero-filled on the host (SimArena::NewArray), so their
+  // size costs host memory only for the pages a run touches. The litmus
+  // explorer runs with smaller logs and orec table, the sizes its outcome
+  // gates were recorded with.
   uint64_t max_read_set = 1ull << 18;
   uint64_t max_write_set = 1ull << 16;
   // Modeled instruction counts for the software paths (pure ALU work; the
@@ -80,9 +83,11 @@ class TinyStm : public TmRuntime {
   };
 
   // Orec encoding: LSB set -> locked, owner id in the upper bits;
-  // LSB clear -> unlocked, version in the upper bits.
+  // LSB clear -> unlocked, version in the upper bits. No default member
+  // initializer, so the arena hands the table out zeroed without writing
+  // it (SimArena::NewArray).
   struct Orec {
-    uint64_t word = 0;
+    uint64_t word;
   };
   static bool Locked(uint64_t w) { return (w & 1) != 0; }
   static uint64_t OwnerOf(uint64_t w) { return w >> 1; }
@@ -103,6 +108,10 @@ class TinyStm : public TmRuntime {
                          // lock it at this entry, i.e. a re-write).
     bool locked_here;
   };
+  static_assert(std::is_trivially_default_constructible_v<Orec> &&
+                    std::is_trivially_default_constructible_v<ReadEntry> &&
+                    std::is_trivially_default_constructible_v<WriteEntry>,
+                "SimArena::NewArray must hand out the orec table and logs unwritten");
 
   struct PerThread {
     TxStats stats;

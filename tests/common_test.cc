@@ -1,10 +1,13 @@
 // Copyright (c) 2026 The asf-tm-stack Authors. All rights reserved.
 // Tests for the common utilities: deterministic RNG, table printer, arena.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include <cmath>
 #include <cstring>
 #include <set>
+#include <vector>
 
 #include "src/common/abort_cause.h"
 #include "src/common/arena.h"
@@ -118,6 +121,41 @@ TEST(SimArena, NewArrayZeroInitializes) {
   auto* xs = arena.NewArray<uint64_t>(128);
   for (int i = 0; i < 128; ++i) {
     EXPECT_EQ(xs[i], 0u);
+  }
+}
+
+// NewArray hands out trivially constructible spans unwritten: the fresh
+// mapping is already zero, so a large table costs no host memory until a
+// run touches it.
+TEST(SimArena, NewArrayLeavesTrivialSpansUntouched) {
+  constexpr uint64_t kBytes = 64ull << 20;
+  SimArena arena(kBytes);
+  const uint64_t page = static_cast<uint64_t>(::sysconf(_SC_PAGESIZE));
+  auto* xs = arena.NewArray<uint64_t>(kBytes / sizeof(uint64_t), page);
+  std::vector<unsigned char> resident(kBytes / page);
+  ASSERT_EQ(::mincore(xs, kBytes, resident.data()), 0);
+  size_t resident_pages = 0;
+  for (unsigned char r : resident) {
+    resident_pages += r & 1;
+  }
+  EXPECT_EQ(resident_pages, 0u);
+  uint64_t nonzero = 0;
+  for (uint64_t i = 0; i < kBytes / sizeof(uint64_t); ++i) {
+    nonzero += xs[i] != 0 ? 1 : 0;
+  }
+  EXPECT_EQ(nonzero, 0u);
+}
+
+TEST(SimArena, NewArrayKeepsDefaultMemberInitializers) {
+  struct Slot {
+    int32_t owner = -1;
+    uint32_t count;
+  };
+  SimArena arena(1 << 20);
+  auto* slots = arena.NewArray<Slot>(1000);
+  for (int i = 0; i < 1000; ++i) {
+    EXPECT_EQ(slots[i].owner, -1);
+    EXPECT_EQ(slots[i].count, 0u);
   }
 }
 

@@ -16,13 +16,15 @@
 //     starvation verdict names a core; a progress verdict starves none).
 //
 // Used by the bench smoke tests to assert every fig* --json report is
-// well-formed. Errors are named with their JSON path.
+// well-formed. Errors are named with their JSON path. A required key may
+// name a nested member with dots ("host.wall_s").
 //
 //   usage: json_check <file> [required-key...]
 //
 // Exit status: 0 when the file parses and all checks pass, 1 otherwise.
 #include <cstdio>
 #include <string>
+#include <string_view>
 
 #include "src/obs/export.h"
 #include "src/obs/json.h"
@@ -202,6 +204,19 @@ void CheckProgressStats(const JsonValue& s, const std::string& path) {
   }
 }
 
+// Resolves a dotted required key ("host.wall_s") against the document.
+const JsonValue* Lookup(const JsonValue& doc, std::string_view dotted) {
+  const JsonValue* v = &doc;
+  for (;;) {
+    const size_t dot = dotted.find('.');
+    v = v->IsObject() ? v->Get(dotted.substr(0, dot)) : nullptr;
+    if (v == nullptr || dot == std::string_view::npos) {
+      return v;
+    }
+    dotted.remove_prefix(dot + 1);
+  }
+}
+
 // "latency" values are either a single stats object (harness reports) or a
 // {label: stats} map (bench reports); same for "heatmap" and "progress".
 void CheckSection(const JsonValue& v, const std::string& path,
@@ -263,7 +278,7 @@ int main(int argc, char** argv) {
   }
   int missing = 0;
   for (int i = 2; i < argc; ++i) {
-    if (doc.Get(argv[i]) == nullptr) {
+    if (Lookup(doc, argv[i]) == nullptr) {
       std::fprintf(stderr, "%s: %s: missing required key \"%s\"\n", argv[0], argv[1], argv[i]);
       ++missing;
     }

@@ -90,9 +90,6 @@ int main(int argc, char** argv) {
   const uint64_t ops = opt.quick ? 300 : 1200;
 
   harness::SweepRunner sweep(opt.jobs);
-  sweep.SetSlackCycles(opt.slack);
-  sweep.SetSlackJobs(opt.slack_jobs);
-  sweep.SetSlackExecJobs(opt.slack_exec_jobs);
 
   // ---- Submission phase: every cell of every study, in display order. ----
   for (int serial : {1, 0}) {

@@ -33,18 +33,17 @@ struct Options {
   std::string json_path;     // Write a JSON run report here (empty = off).
   uint64_t seed = 0;         // Override the benchmark's base seed (0 = keep).
   uint32_t jobs = 0;         // Host-parallel sweep jobs (0 = hardware_concurrency).
-  uint64_t slack = 0;        // Bounded-slack quantum cycles (0 = exact loop).
-  uint32_t slack_jobs = 1;   // Host workers planning slack windows inside one
-                             // machine (1 = serial slack; needs --slack).
-  uint32_t slack_exec_jobs = 1;  // Host workers executing footprint-disjoint
-                                 // slack windows (1 = serial; needs --slack).
 };
 
+// Largest --jobs operand the parser accepts.
+constexpr uint32_t kMaxJobs = 1024;
+
 // Resolves a 0 ("auto") job-count operand to the host's hardware
-// concurrency, clamped to [1, cap] so an odd topology report cannot exceed
-// the flag's documented range. Every bench resolves at parse time, so the
-// JSON report header always records the concrete fan-out that actually ran.
-inline uint32_t ResolveAutoJobs(uint32_t requested, uint32_t cap) {
+// concurrency, clamped to [1, kMaxJobs] so an odd topology report cannot
+// exceed the flag's documented range. Every bench resolves at parse time, so
+// the JSON report header always records the concrete fan-out that actually
+// ran.
+inline uint32_t ResolveAutoJobs(uint32_t requested) {
   if (requested != 0) {
     return requested;
   }
@@ -52,29 +51,18 @@ inline uint32_t ResolveAutoJobs(uint32_t requested, uint32_t cap) {
   if (n == 0) {
     n = 1;
   }
-  return n > cap ? cap : n;
+  return n > kMaxJobs ? kMaxJobs : n;
 }
 
 inline void PrintUsage(const char* prog, std::FILE* out) {
   std::fprintf(out,
-               "usage: %s [--quick] [--csv] [--json <path>] [--seed <n>] [--jobs <n>] [--slack <n>]"
-               " [--slack-jobs <n>] [--slack-exec-jobs <n>]\n"
+               "usage: %s [--quick] [--csv] [--json <path>] [--seed <n>] [--jobs <n>]\n"
                "  --quick        reduced op counts (smoke runs)\n"
                "  --csv          emit CSV after the human-readable tables\n"
                "  --json <path>  write a machine-readable JSON run report\n"
                "  --seed <n>     override the benchmark's base RNG seed\n"
                "  --jobs <n>     host threads for the sweep (0 or omitted = all cores;\n"
-               "                 results are identical for every job count)\n"
-               "  --slack <n>    bounded-slack quantum cycles (0 = exact event loop;\n"
-               "                 results are identical for every value)\n"
-               "  --slack-jobs <n>  host workers planning slack windows inside each\n"
-               "                 machine (1 = serial slack engine; 0 = all cores;\n"
-               "                 no-op without --slack; results are identical for\n"
-               "                 every value)\n"
-               "  --slack-exec-jobs <n>  host workers executing footprint-disjoint\n"
-               "                 slack windows concurrently (1 = serial execution;\n"
-               "                 0 = all cores; no-op without --slack; results are\n"
-               "                 identical for every value)\n",
+               "                 results are identical for every job count)\n",
                prog);
 }
 
@@ -115,54 +103,12 @@ inline Options ParseArgs(int argc, char** argv) {
       }
       char* end = nullptr;
       unsigned long long jobs = std::strtoull(argv[++i], &end, 10);
-      if (end == argv[i] || *end != '\0' || jobs > 1024) {
+      if (end == argv[i] || *end != '\0' || jobs > kMaxJobs) {
         std::fprintf(stderr, "%s: --jobs operand must be an integer in [0, 1024], got '%s'\n",
                      argv[0], argv[i]);
         std::exit(2);
       }
       opt.jobs = static_cast<uint32_t>(jobs);
-    } else if (std::strcmp(argv[i], "--slack") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: --slack requires a numeric operand\n", argv[0]);
-        PrintUsage(argv[0], stderr);
-        std::exit(2);
-      }
-      char* end = nullptr;
-      opt.slack = std::strtoull(argv[++i], &end, 10);
-      if (end == argv[i] || *end != '\0') {
-        std::fprintf(stderr, "%s: --slack operand must be a non-negative integer, got '%s'\n",
-                     argv[0], argv[i]);
-        std::exit(2);
-      }
-    } else if (std::strcmp(argv[i], "--slack-jobs") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: --slack-jobs requires a numeric operand\n", argv[0]);
-        PrintUsage(argv[0], stderr);
-        std::exit(2);
-      }
-      char* end = nullptr;
-      unsigned long long sj = std::strtoull(argv[++i], &end, 10);
-      if (end == argv[i] || *end != '\0' || sj > 64) {
-        std::fprintf(stderr, "%s: --slack-jobs operand must be an integer in [0, 64], got '%s'\n",
-                     argv[0], argv[i]);
-        std::exit(2);
-      }
-      opt.slack_jobs = ResolveAutoJobs(static_cast<uint32_t>(sj), 64);
-    } else if (std::strcmp(argv[i], "--slack-exec-jobs") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: --slack-exec-jobs requires a numeric operand\n", argv[0]);
-        PrintUsage(argv[0], stderr);
-        std::exit(2);
-      }
-      char* end = nullptr;
-      unsigned long long sej = std::strtoull(argv[++i], &end, 10);
-      if (end == argv[i] || *end != '\0' || sej > 64) {
-        std::fprintf(stderr,
-                     "%s: --slack-exec-jobs operand must be an integer in [0, 64], got '%s'\n",
-                     argv[0], argv[i]);
-        std::exit(2);
-      }
-      opt.slack_exec_jobs = ResolveAutoJobs(static_cast<uint32_t>(sej), 64);
     } else if (std::strcmp(argv[i], "--help") == 0 || std::strcmp(argv[i], "-h") == 0) {
       PrintUsage(argv[0], stdout);
       std::exit(0);
@@ -175,7 +121,7 @@ inline Options ParseArgs(int argc, char** argv) {
   // Resolve the "auto" sweep fan-out here too, so the JSON report header
   // carries the concrete value (the SweepRunner would resolve 0 the same
   // way; parse-time resolution just makes the report self-describing).
-  opt.jobs = ResolveAutoJobs(opt.jobs, 1024);
+  opt.jobs = ResolveAutoJobs(opt.jobs);
   return opt;
 }
 
@@ -300,9 +246,6 @@ class JsonReport {
     w.KV("benchmark", benchmark_);
     w.KV("quick", opt_.quick);
     w.KV("seed", opt_.seed);
-    w.KV("slack", opt_.slack);
-    w.KV("slack_jobs", static_cast<uint64_t>(opt_.slack_jobs));
-    w.KV("slack_exec_jobs", static_cast<uint64_t>(opt_.slack_exec_jobs));
     // Resolved sweep fan-out (0 operands resolve to the host's core count at
     // parse time), so reports from different hosts stay interpretable.
     w.KV("jobs", static_cast<uint64_t>(opt_.jobs));

@@ -30,9 +30,6 @@ int main(int argc, char** argv) {
   table.SetHeader({"benchmark", "simulated-cycles", "reference-cycles", "deviation"});
 
   harness::SweepRunner sweep(opt.jobs);
-  sweep.SetSlackCycles(opt.slack);
-  sweep.SetSlackJobs(opt.slack_jobs);
-  sweep.SetSlackExecJobs(opt.slack_exec_jobs);
   for (const std::string& app_name : harness::StampAppNames()) {
     harness::StampConfig cfg;
     cfg.runtime = harness::RuntimeKind::kSequential;

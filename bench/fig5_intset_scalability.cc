@@ -52,9 +52,6 @@ int main(int argc, char** argv) {
   // formatting below reads results back in submit order, so the output is
   // identical for every --jobs value.
   harness::SweepRunner sweep(opt.jobs);
-  sweep.SetSlackCycles(opt.slack);
-  sweep.SetSlackJobs(opt.slack_jobs);
-  sweep.SetSlackExecJobs(opt.slack_exec_jobs);
   for (const Panel& panel : panels) {
     for (const auto& variant : variants) {
       for (uint32_t threads : benchutil::ThreadCounts()) {

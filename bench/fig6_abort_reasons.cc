@@ -41,9 +41,6 @@ int main(int argc, char** argv) {
       "attempts)\n\n");
 
   harness::SweepRunner sweep(opt.jobs);
-  sweep.SetSlackCycles(opt.slack);
-  sweep.SetSlackJobs(opt.slack_jobs);
-  sweep.SetSlackExecJobs(opt.slack_exec_jobs);
   for (const std::string& app_name : harness::StampAppNames()) {
     for (const auto& variant : variants) {
       for (uint32_t threads : benchutil::ThreadCounts()) {

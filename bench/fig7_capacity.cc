@@ -40,9 +40,6 @@ int main(int argc, char** argv) {
   };
 
   harness::SweepRunner sweep(opt.jobs);
-  sweep.SetSlackCycles(opt.slack);
-  sweep.SetSlackJobs(opt.slack_jobs);
-  sweep.SetSlackExecJobs(opt.slack_exec_jobs);
   for (const Study& study : studies) {
     for (const auto& variant : variants) {
       for (uint64_t size : study.sizes) {

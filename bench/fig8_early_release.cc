@@ -23,9 +23,6 @@ int main(int argc, char** argv) {
       "(8 threads, 20%% update, throughput in tx/us)\n\n");
 
   harness::SweepRunner sweep(opt.jobs);
-  sweep.SetSlackCycles(opt.slack);
-  sweep.SetSlackJobs(opt.slack_jobs);
-  sweep.SetSlackExecJobs(opt.slack_exec_jobs);
   for (const auto& variant : {asf::AsfVariant::Llb8(), asf::AsfVariant::Llb256()}) {
     for (bool early_release : {false, true}) {
       for (uint64_t size : sizes) {

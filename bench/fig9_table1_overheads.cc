@@ -68,9 +68,6 @@ int main(int argc, char** argv) {
       "spent inside transactions, ASF-TM (LLB-256) vs TinySTM.\n\n");
 
   harness::SweepRunner sweep(opt.jobs);
-  sweep.SetSlackCycles(opt.slack);
-  sweep.SetSlackJobs(opt.slack_jobs);
-  sweep.SetSlackExecJobs(opt.slack_exec_jobs);
   for (const Workload& w : workloads) {
     sweep.SubmitIntset(MakeConfig(w, harness::RuntimeKind::kAsfTm, ops, opt.seed));
     sweep.SubmitIntset(MakeConfig(w, harness::RuntimeKind::kTinyStm, ops, opt.seed));

@@ -98,9 +98,6 @@ int main(int argc, char** argv) {
   const uint64_t seed = opt.seed != 0 ? opt.seed : 1;
 
   harness::SweepRunner sweep(opt.jobs);
-  sweep.SetSlackCycles(opt.slack);
-  sweep.SetSlackJobs(opt.slack_jobs);
-  sweep.SetSlackExecJobs(opt.slack_exec_jobs);
   for (const Adversary& adv : kAdversaries) {
     for (const Contender& con : kContenders) {
       harness::StressConfig sc;

@@ -6,9 +6,12 @@
 // (Sec. 4): configurations must run fast enough to explore the design space.
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "src/asf/llb.h"
 #include "src/harness/experiment.h"
 #include "src/mem/cache.h"
+#include "src/sim/scheduler.h"
 
 namespace {
 
@@ -85,6 +88,58 @@ BENCHMARK(BM_MachineConstruct)
     ->DenseRange(static_cast<int>(harness::RuntimeKind::kAsfTm),
                  static_cast<int>(harness::RuntimeKind::kLockElision))
     ->Unit(benchmark::kMillisecond);
+
+// Scheduler wake cost, isolated from the machine model: a handler that
+// charges a fixed latency and touches nothing else. Arg = simulated threads.
+// With one thread every completion wake parks in the next-event slot and is
+// consumed inline at the suspension point (the inline path). With several
+// threads staggered by a fraction of the latency, each new wake lands behind
+// another thread's pending event, so it goes through the heap and Run()'s
+// loop (the loop path). Items = wakes scheduled.
+class FixedLatencyHandler : public asfsim::AccessHandler {
+ public:
+  asfsim::AccessOutcome OnAccess(asfsim::SimThread&, asfsim::AccessKind, uint64_t,
+                                 uint32_t) override {
+    return {kLatency, false};
+  }
+  static constexpr uint64_t kLatency = 64;
+};
+
+asfsim::Task<void> WakeLoop(asfsim::SimThread* const* slot, uint64_t head_work,
+                            uint64_t accesses) {
+  asfsim::SimThread& t = **slot;
+  t.core().WorkCycles(head_work);
+  for (uint64_t i = 0; i < accesses; ++i) {
+    co_await t.Access(asfsim::AccessKind::kLoad, uint64_t{0x1000}, 8);
+  }
+}
+
+void BM_SchedulerWake(benchmark::State& state) {
+  const auto threads = static_cast<uint32_t>(state.range(0));
+  constexpr uint64_t kAccessesPerThread = 1 << 14;
+  asfsim::CoreParams params;
+  params.timer_enabled = false;
+  FixedLatencyHandler handler;
+  uint64_t wakes = 0;
+  uint64_t inline_wakes = 0;
+  for (auto _ : state) {
+    asfsim::Scheduler sched(threads, params);
+    sched.SetAccessHandler(&handler);
+    std::vector<asfsim::SimThread*> slots(threads, nullptr);
+    for (uint32_t i = 0; i < threads; ++i) {
+      const uint64_t stagger = i * FixedLatencyHandler::kLatency / threads;
+      slots[i] = &sched.Spawn(WakeLoop(&slots[i], stagger, kAccessesPerThread));
+    }
+    sched.Run();
+    wakes += sched.wakes_scheduled();
+    inline_wakes += sched.inline_wakes();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(wakes));
+  state.counters["inline_share"] =
+      wakes == 0 ? 0.0 : static_cast<double>(inline_wakes) / static_cast<double>(wakes);
+  state.SetLabel(threads == 1 ? "inline path" : "loop path");
+}
+BENCHMARK(BM_SchedulerWake)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

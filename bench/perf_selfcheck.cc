@@ -49,47 +49,6 @@ std::string DigestOf(const harness::IntsetResult& r) {
          std::to_string(r.tm.TotalAttempts()) + ":" + std::to_string(r.tm.TotalAborts());
 }
 
-// Extended fingerprint for --slack-exec-check: the base digest plus an FNV
-// hash over the full latency histogram (buckets, decomposition totals,
-// commits by mode) and the hot-line heatmap (totals + deterministic top-K).
-// Concurrently executed windows defer observer effects to the epoch commit,
-// so these distributions must also be bit-identical to the serial schedule —
-// not just the headline counters.
-std::string ObsDigestOf(const harness::IntsetResult& r) {
-  uint64_t h = 1469598103934665603ull;
-  auto mix = [&h](uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ull;
-  };
-  const asfobs::LatencyStats& lat = r.latency;
-  for (uint64_t b : lat.buckets) {
-    mix(b);
-  }
-  mix(lat.count);
-  mix(lat.sum);
-  mix(lat.min);
-  mix(lat.max);
-  mix(lat.wasted_cycles);
-  mix(lat.backoff_cycles);
-  mix(lat.serial_cycles);
-  mix(lat.aborted_attempts);
-  mix(lat.clean_blocks);
-  mix(lat.retried_blocks);
-  for (uint64_t c : lat.commits_by_mode) {
-    mix(c);
-  }
-  mix(r.heatmap.total_edges);
-  for (const asfobs::HotLine& hl : r.heatmap.TopK(8)) {
-    mix(hl.line);
-    mix(hl.edges);
-    mix(hl.victim_cores);
-    mix(hl.aggressor_cores);
-  }
-  char hex[24];
-  std::snprintf(hex, sizeof(hex), "%016llx", static_cast<unsigned long long>(h));
-  return DigestOf(r) + ":" + hex;
-}
-
 std::string ConfigLabel(const harness::IntsetConfig& cfg) {
   return cfg.structure + "/r" + std::to_string(cfg.key_range) + "/u" +
          std::to_string(cfg.update_pct) + " " + cfg.variant.Name() + " t" +
@@ -134,15 +93,10 @@ std::vector<harness::IntsetConfig> BuildGrid(bool quick, uint64_t seed) {
   return grid;
 }
 
-PassResult RunPass(const std::vector<harness::IntsetConfig>& grid, uint32_t jobs,
-                   uint64_t slack_cycles = 0, uint32_t slack_jobs = 1,
-                   uint32_t slack_exec_jobs = 1, bool obs_digests = false) {
+PassResult RunPass(const std::vector<harness::IntsetConfig>& grid, uint32_t jobs) {
   PassResult pass;
   auto start = std::chrono::steady_clock::now();
   harness::SweepRunner sweep(jobs);
-  sweep.SetSlackCycles(slack_cycles);
-  sweep.SetSlackJobs(slack_jobs);
-  sweep.SetSlackExecJobs(slack_exec_jobs);
   for (const harness::IntsetConfig& cfg : grid) {
     sweep.SubmitIntset(cfg);
   }
@@ -163,38 +117,7 @@ PassResult RunPass(const std::vector<harness::IntsetConfig>& grid, uint32_t jobs
     pass.host.dir_solo_fast_paths += r.host.dir_solo_fast_paths;
     pass.host.dir_probes += r.host.dir_probes;
     pass.host.dir_probe_hits += r.host.dir_probe_hits;
-    pass.host.slack_quanta += r.host.slack_quanta;
-    pass.host.slack_solo_quanta += r.host.slack_solo_quanta;
-    pass.host.slack_torn_quanta += r.host.slack_torn_quanta;
-    pass.host.slack_conflict_quanta += r.host.slack_conflict_quanta;
-    pass.host.slack_batched += r.host.slack_batched;
-    pass.host.slack_journal_lines += r.host.slack_journal_lines;
-    pass.host.slack_plan_forks += r.host.slack_plan_forks;
-    pass.host.slack_plan_events += r.host.slack_plan_events;
-    pass.host.slack_sharded_windows += r.host.slack_sharded_windows;
-    pass.host.slack_overlay_resolves += r.host.slack_overlay_resolves;
-    if (pass.host.slack_worker_planned.size() < r.host.slack_worker_planned.size()) {
-      pass.host.slack_worker_planned.resize(r.host.slack_worker_planned.size(), 0);
-    }
-    for (size_t w = 0; w < r.host.slack_worker_planned.size(); ++w) {
-      pass.host.slack_worker_planned[w] += r.host.slack_worker_planned[w];
-    }
-    pass.host.slack_exec_epochs += r.host.slack_exec_epochs;
-    pass.host.slack_exec_windows += r.host.slack_exec_windows;
-    pass.host.slack_exec_events += r.host.slack_exec_events;
-    pass.host.slack_exec_trapped += r.host.slack_exec_trapped;
-    pass.host.slack_exec_synced += r.host.slack_exec_synced;
-    pass.host.slack_exec_wave_parks += r.host.slack_exec_wave_parks;
-    pass.host.slack_exec_admit_rejects += r.host.slack_exec_admit_rejects;
-    pass.host.slack_exec_serial_windows += r.host.slack_exec_serial_windows;
-    pass.host.slack_exec_backoff_skips += r.host.slack_exec_backoff_skips;
-    if (pass.host.slack_exec_worker_events.size() < r.host.slack_exec_worker_events.size()) {
-      pass.host.slack_exec_worker_events.resize(r.host.slack_exec_worker_events.size(), 0);
-    }
-    for (size_t w = 0; w < r.host.slack_exec_worker_events.size(); ++w) {
-      pass.host.slack_exec_worker_events[w] += r.host.slack_exec_worker_events[w];
-    }
-    pass.digests.push_back(obs_digests ? ObsDigestOf(r) : DigestOf(r));
+    pass.digests.push_back(DigestOf(r));
   }
   return pass;
 }
@@ -212,77 +135,6 @@ std::string Pct(uint64_t part, uint64_t whole) {
   }
   return asfcommon::Table::Num(100.0 * static_cast<double>(part) / static_cast<double>(whole), 1) +
          "%";
-}
-
-// Host-parallel slack-planning telemetry for one pass: pool fork/join count,
-// snapshot volume, how the sharded merge resolved, and the per-worker planned
-// event share (the occupancy view the CI smoke run watches). Printed in every
-// run — all-zero rows simply mean the pass ran with --slack-jobs 1 (or slack
-// disabled), so a silently-dead pool is visible as a regression.
-asfcommon::Table OccupancyTable(const std::string& title, const harness::HostPerf& hp) {
-  asfcommon::Table t(title);
-  t.SetHeader({"metric", "value", "share"});
-  t.AddRow({"plan fork/join epochs",
-            asfcommon::Table::Int(static_cast<long long>(hp.slack_plan_forks)), "-"});
-  t.AddRow({"events snapshotted into plans",
-            asfcommon::Table::Int(static_cast<long long>(hp.slack_plan_events)), "-"});
-  t.AddRow({"sharded windows dispatched",
-            asfcommon::Table::Int(static_cast<long long>(hp.slack_sharded_windows)),
-            Pct(hp.slack_sharded_windows, hp.slack_quanta)});
-  t.AddRow({"overlay-only merge resolves",
-            asfcommon::Table::Int(static_cast<long long>(hp.slack_overlay_resolves)), "-"});
-  uint64_t planned_total = 0;
-  for (uint64_t w : hp.slack_worker_planned) {
-    planned_total += w;
-  }
-  for (size_t w = 0; w < hp.slack_worker_planned.size(); ++w) {
-    t.AddRow({"worker " + std::to_string(w) + " planned events",
-              asfcommon::Table::Int(static_cast<long long>(hp.slack_worker_planned[w])),
-              Pct(hp.slack_worker_planned[w], planned_total)});
-  }
-  return t;
-}
-
-// Host-parallel window-execution telemetry for one pass: epoch count,
-// windows/events that actually ran on pool workers, the demotion triggers
-// (first-touch traps, sync parks, wave parks, admission rejects, serial
-// fallbacks), and the per-worker consumed-event occupancy share.
-asfcommon::Table ExecOccupancyTable(const std::string& title, const harness::HostPerf& hp) {
-  asfcommon::Table t(title);
-  t.SetHeader({"metric", "value", "share"});
-  t.AddRow({"exec fork/join epochs",
-            asfcommon::Table::Int(static_cast<long long>(hp.slack_exec_epochs)), "-"});
-  t.AddRow({"windows run on workers",
-            asfcommon::Table::Int(static_cast<long long>(hp.slack_exec_windows)),
-            Pct(hp.slack_exec_windows, hp.slack_quanta)});
-  t.AddRow({"events consumed on workers",
-            asfcommon::Table::Int(static_cast<long long>(hp.slack_exec_events)),
-            Pct(hp.slack_exec_events, hp.slack_exec_events + hp.slack_batched)});
-  t.AddRow({"windows torn by first-touch trap",
-            asfcommon::Table::Int(static_cast<long long>(hp.slack_exec_trapped)),
-            Pct(hp.slack_exec_trapped, hp.slack_exec_windows)});
-  t.AddRow({"windows torn at sync/fence",
-            asfcommon::Table::Int(static_cast<long long>(hp.slack_exec_synced)),
-            Pct(hp.slack_exec_synced, hp.slack_exec_windows)});
-  t.AddRow({"wave-protocol parks",
-            asfcommon::Table::Int(static_cast<long long>(hp.slack_exec_wave_parks)),
-            Pct(hp.slack_exec_wave_parks, hp.slack_exec_windows)});
-  t.AddRow({"admission rejects",
-            asfcommon::Table::Int(static_cast<long long>(hp.slack_exec_admit_rejects)), "-"});
-  t.AddRow({"serial-fallback windows",
-            asfcommon::Table::Int(static_cast<long long>(hp.slack_exec_serial_windows)), "-"});
-  t.AddRow({"backoff-gate skips",
-            asfcommon::Table::Int(static_cast<long long>(hp.slack_exec_backoff_skips)), "-"});
-  uint64_t consumed_total = 0;
-  for (uint64_t w : hp.slack_exec_worker_events) {
-    consumed_total += w;
-  }
-  for (size_t w = 0; w < hp.slack_exec_worker_events.size(); ++w) {
-    t.AddRow({"worker " + std::to_string(w) + " consumed events",
-              asfcommon::Table::Int(static_cast<long long>(hp.slack_exec_worker_events[w])),
-              Pct(hp.slack_exec_worker_events[w], consumed_total)});
-  }
-  return t;
 }
 
 // Compares this run's digest table against a previously written JSON report.
@@ -370,27 +222,8 @@ int main(int argc, char** argv) {
   // conflict directory's active-speculator gate force-disabled and fails if
   // any digest differs from the gated serial pass (the fast path must never
   // drift from the slow path).
-  // --slack-check reruns the grid in bounded-slack quantum mode (quantum =
-  // --slack, default 256 cycles) and fails if any digest differs from the
-  // exact serial pass; it also prints the quantum telemetry and the
-  // slack-vs-exact digest table.
-  // --slack-par-check is the host-parallel analogue: it reruns the grid in
-  // quantum mode at --slack-jobs 1, 2 and 4 (planning fanned out over a
-  // worker pool inside each machine) and hard-fails unless every grid digest
-  // is bit-identical to the exact serial pass for every fan-out. It also
-  // reports the jobs>1 wall-clock overhead against jobs=1 — the number the
-  // <=10%-oversubscribed budget is judged on for single-CPU hosts.
-  // --slack-exec-check is the window-execution analogue: it reruns the grid
-  // in quantum mode at --slack-exec-jobs 1, 2 and 4 (footprint-disjoint
-  // windows executed concurrently on a worker pool) with latency histograms
-  // and heatmaps enabled, and hard-fails unless every extended digest —
-  // headline counters AND distribution fingerprints — is bit-identical to
-  // the exact serial pass at every fan-out.
   std::string baseline_path;
   bool gate_check = false;
-  bool slack_check = false;
-  bool slack_par_check = false;
-  bool slack_exec_check = false;
   std::vector<char*> filtered;
   filtered.reserve(static_cast<size_t>(argc));
   filtered.push_back(argv[0]);
@@ -403,12 +236,6 @@ int main(int argc, char** argv) {
       baseline_path = argv[++i];
     } else if (std::strcmp(argv[i], "--gate-check") == 0) {
       gate_check = true;
-    } else if (std::strcmp(argv[i], "--slack-check") == 0) {
-      slack_check = true;
-    } else if (std::strcmp(argv[i], "--slack-par-check") == 0) {
-      slack_par_check = true;
-    } else if (std::strcmp(argv[i], "--slack-exec-check") == 0) {
-      slack_exec_check = true;
     } else {
       filtered.push_back(argv[i]);
     }
@@ -432,24 +259,20 @@ int main(int argc, char** argv) {
 
   // The serial pass runs inline on this thread (SweepRunner contract for
   // jobs=1), so the thread-local frame pool delta below covers exactly it.
-  // It always uses the exact event loop (slack 0): it is the reference every
-  // other pass — parallel, gate-check, slack-check, --baseline — is held to.
+  // It is the reference every other pass — parallel, gate-check, --baseline —
+  // is held to.
   const asfcommon::FramePool::Stats frames_before = asfcommon::FramePool::ForThread().stats();
   const PassResult serial = RunPass(grid, 1);
   const asfcommon::FramePool::Stats frames_after = asfcommon::FramePool::ForThread().stats();
-  const PassResult parallel =
-      RunPass(grid, parallel_jobs, opt.slack, opt.slack_jobs, opt.slack_exec_jobs);
+  const PassResult parallel = RunPass(grid, parallel_jobs);
 
-  // Determinism gate: neither the fan-out, nor a --slack quantum, nor a
-  // --slack-jobs planning pool may change a single result.
+  // Determinism gate: the fan-out may not change a single result.
   for (size_t i = 0; i < grid.size(); ++i) {
     if (serial.digests[i] != parallel.digests[i]) {
       std::fprintf(stderr,
-                   "FAILED: config %zu diverged between --jobs 1 and --jobs %u (slack %llu, "
-                   "slack-jobs %u, slack-exec-jobs %u)\n  serial:   %s\n  parallel: %s\n",
-                   i, parallel_jobs, static_cast<unsigned long long>(opt.slack),
-                   opt.slack_jobs, opt.slack_exec_jobs, serial.digests[i].c_str(),
-                   parallel.digests[i].c_str());
+                   "FAILED: config %zu diverged between --jobs 1 and --jobs %u\n"
+                   "  serial:   %s\n  parallel: %s\n",
+                   i, parallel_jobs, serial.digests[i].c_str(), parallel.digests[i].c_str());
       return 1;
     }
   }
@@ -474,220 +297,6 @@ int main(int argc, char** argv) {
                 "(gated probes %llu, ungated probes %llu)\n\n",
                 grid.size(), static_cast<unsigned long long>(serial.host.dir_probes),
                 static_cast<unsigned long long>(ungated.host.dir_probes));
-  }
-
-  // Slack equivalence: rerun the whole grid in bounded-slack quantum mode
-  // and hard-fail on any divergence from the exact serial pass. The digest
-  // table goes into the report so a baseline diff shows which configuration
-  // moved, not just that one did.
-  if (slack_check) {
-    const uint64_t quantum = opt.slack != 0 ? opt.slack : 256;
-    const PassResult slackp = RunPass(grid, parallel_jobs, quantum);
-    asfcommon::Table sd("Slack-vs-exact digests (quantum " + std::to_string(quantum) +
-                        " cycles)");
-    sd.SetHeader({"configuration", "exact", "slack", "match"});
-    size_t mismatches = 0;
-    for (size_t i = 0; i < grid.size(); ++i) {
-      const bool match = serial.digests[i] == slackp.digests[i];
-      mismatches += match ? 0 : 1;
-      sd.AddRow({ConfigLabel(grid[i]), serial.digests[i], slackp.digests[i],
-                 match ? "yes" : "NO"});
-    }
-    sd.Print();
-    report.Add(sd);
-
-    const harness::HostPerf& sp = slackp.host;
-    asfcommon::Table st("Bounded-slack telemetry (quantum " + std::to_string(quantum) +
-                        " cycles)");
-    st.SetHeader({"metric", "value", "rate"});
-    st.AddRow({"quanta run", asfcommon::Table::Int(static_cast<long long>(sp.slack_quanta)),
-               "-"});
-    st.AddRow({"solo quanta",
-               asfcommon::Table::Int(static_cast<long long>(sp.slack_solo_quanta)),
-               Pct(sp.slack_solo_quanta, sp.slack_quanta)});
-    st.AddRow({"torn quanta (cross-thread wake)",
-               asfcommon::Table::Int(static_cast<long long>(sp.slack_torn_quanta)),
-               Pct(sp.slack_torn_quanta, sp.slack_quanta)});
-    st.AddRow({"conflict-replay quanta",
-               asfcommon::Table::Int(static_cast<long long>(sp.slack_conflict_quanta)),
-               Pct(sp.slack_conflict_quanta, sp.slack_quanta)});
-    st.AddRow({"events batched in-window",
-               asfcommon::Table::Int(static_cast<long long>(sp.slack_batched)),
-               Pct(sp.slack_batched, sp.slack_batched + sp.slack_quanta)});
-    st.AddRow({"journaled dirty lines",
-               asfcommon::Table::Int(static_cast<long long>(sp.slack_journal_lines)), "-"});
-    st.Print();
-    report.Add(st);
-
-    if (mismatches != 0) {
-      std::fprintf(stderr,
-                   "FAILED: %zu configuration(s) diverged between --slack 0 and --slack %llu "
-                   "(see the slack-vs-exact table)\n",
-                   mismatches, static_cast<unsigned long long>(quantum));
-      return 1;
-    }
-    const double slack_speedup =
-        slackp.wall_seconds > 0.0 ? serial.wall_seconds / slackp.wall_seconds : 0.0;
-    std::printf("slack-check: all %zu digests identical at quantum %llu; wall %.3fs vs "
-                "exact %.3fs (%.2fx)\n",
-                grid.size(), static_cast<unsigned long long>(quantum), slackp.wall_seconds,
-                serial.wall_seconds, slack_speedup);
-    if (host_cpus < 2) {
-      // Informational, mirroring the jobs-speedup note: on a single visible
-      // CPU the quantum mode can only show its batching savings, not a
-      // fan-out win.
-      std::printf("note: single-CPU host; slack speedup reflects batching only\n");
-    }
-    std::printf("\n");
-  }
-
-  // Parallel-slack equivalence: rerun the whole grid in quantum mode at
-  // --slack-jobs 1, 2 and 4 and hard-fail unless every digest matches the
-  // exact serial pass at every fan-out. The sweep itself runs at --jobs 1
-  // here so the planning pool is the only host parallelism in the measured
-  // pass — on a single-CPU host that makes the jobs>1-vs-jobs=1 wall-clock
-  // ratio a pure oversubscription-overhead number (the <=10% budget); on a
-  // multi-core host it is the planning speedup.
-  if (slack_par_check) {
-    const uint64_t quantum = opt.slack != 0 ? opt.slack : 256;
-    const uint32_t kParJobs[] = {1, 2, 4};
-    std::vector<PassResult> par_passes;
-    for (uint32_t sj : kParJobs) {
-      par_passes.push_back(RunPass(grid, 1, quantum, sj));
-    }
-
-    asfcommon::Table pd("Parallel-slack digests (quantum " + std::to_string(quantum) +
-                        " cycles, slack-jobs 1/2/4 vs exact)");
-    pd.SetHeader({"configuration", "exact", "jobs 1", "jobs 2", "jobs 4", "match"});
-    size_t mismatches = 0;
-    for (size_t i = 0; i < grid.size(); ++i) {
-      bool match = true;
-      for (const PassResult& p : par_passes) {
-        match = match && serial.digests[i] == p.digests[i];
-      }
-      mismatches += match ? 0 : 1;
-      pd.AddRow({ConfigLabel(grid[i]), serial.digests[i], par_passes[0].digests[i],
-                 par_passes[1].digests[i], par_passes[2].digests[i], match ? "yes" : "NO"});
-    }
-    pd.Print();
-    report.Add(pd);
-
-    asfcommon::Table occ4 =
-        OccupancyTable("Parallel slack planning (--slack-par-check, slack-jobs 4)",
-                       par_passes[2].host);
-    occ4.Print();
-    report.Add(occ4);
-
-    if (mismatches != 0) {
-      std::fprintf(stderr,
-                   "FAILED: %zu configuration(s) diverged across --slack-jobs {1,2,4} at "
-                   "quantum %llu (see the parallel-slack table)\n",
-                   mismatches, static_cast<unsigned long long>(quantum));
-      return 1;
-    }
-
-    asfcommon::Table ov("Parallel-slack overhead (vs --slack-jobs 1, sweep --jobs 1)");
-    ov.SetHeader({"slack-jobs", "wall s", "overhead", "plan forks", "sharded windows"});
-    const double base_wall = par_passes[0].wall_seconds;
-    for (size_t j = 0; j < par_passes.size(); ++j) {
-      const PassResult& p = par_passes[j];
-      const double ratio = base_wall > 0.0 ? p.wall_seconds / base_wall : 0.0;
-      ov.AddRow({std::to_string(kParJobs[j]), asfcommon::Table::Num(p.wall_seconds, 3),
-                 j == 0 ? "-" : asfcommon::Table::Num(100.0 * (ratio - 1.0), 1) + "%",
-                 asfcommon::Table::Int(static_cast<long long>(p.host.slack_plan_forks)),
-                 asfcommon::Table::Int(static_cast<long long>(p.host.slack_sharded_windows))});
-    }
-    ov.Print();
-    report.Add(ov);
-
-    std::printf("slack-par-check: all %zu digests identical across --slack-jobs {1,2,4} at "
-                "quantum %llu\n",
-                grid.size(), static_cast<unsigned long long>(quantum));
-    if (host_cpus < 2) {
-      // Same framing as the other single-CPU notes: only the overhead bound
-      // is provable here; a planning speedup needs real cores (the JSON
-      // header records cpus/affinity so baselines stay comparable).
-      std::printf(
-          "note: single-CPU host; jobs>1 rows measure oversubscription overhead "
-          "(budget <=10%%), not speedup\n");
-    }
-    std::printf("\n");
-  }
-
-  // Parallel window-EXECUTION equivalence: rerun the whole grid in quantum
-  // mode at --slack-exec-jobs 1, 2 and 4 with latency histograms and hot-line
-  // heatmaps enabled, and hard-fail unless every extended digest (headline
-  // counters + distribution fingerprints) matches the exact serial pass at
-  // every fan-out. Observer effects from concurrently executed windows are
-  // deferred to the epoch commit, so this gate covers the full observability
-  // stack, not just the result counters. The sweep runs at --jobs 1 so the
-  // execution pool is the only host parallelism in the measured pass.
-  if (slack_exec_check) {
-    const uint64_t quantum = opt.slack != 0 ? opt.slack : 256;
-    std::vector<harness::IntsetConfig> obs_grid = grid;
-    for (harness::IntsetConfig& cfg : obs_grid) {
-      cfg.collect_latency = true;
-    }
-    const PassResult exact_obs = RunPass(obs_grid, 1, 0, 1, 1, /*obs_digests=*/true);
-    const uint32_t kExecJobs[] = {1, 2, 4};
-    std::vector<PassResult> exec_passes;
-    for (uint32_t ej : kExecJobs) {
-      exec_passes.push_back(RunPass(obs_grid, 1, quantum, 1, ej, /*obs_digests=*/true));
-    }
-
-    asfcommon::Table ed("Parallel-exec digests (quantum " + std::to_string(quantum) +
-                        " cycles, slack-exec-jobs 1/2/4 vs exact, latency+heatmap hashed)");
-    ed.SetHeader({"configuration", "exact", "jobs 1", "jobs 2", "jobs 4", "match"});
-    size_t mismatches = 0;
-    for (size_t i = 0; i < obs_grid.size(); ++i) {
-      bool match = true;
-      for (const PassResult& p : exec_passes) {
-        match = match && exact_obs.digests[i] == p.digests[i];
-      }
-      mismatches += match ? 0 : 1;
-      ed.AddRow({ConfigLabel(obs_grid[i]), exact_obs.digests[i], exec_passes[0].digests[i],
-                 exec_passes[1].digests[i], exec_passes[2].digests[i], match ? "yes" : "NO"});
-    }
-    ed.Print();
-    report.Add(ed);
-
-    asfcommon::Table eocc = ExecOccupancyTable(
-        "Parallel window execution (--slack-exec-check, slack-exec-jobs 4)",
-        exec_passes[2].host);
-    eocc.Print();
-    report.Add(eocc);
-
-    if (mismatches != 0) {
-      std::fprintf(stderr,
-                   "FAILED: %zu configuration(s) diverged across --slack-exec-jobs {1,2,4} at "
-                   "quantum %llu (see the parallel-exec table)\n",
-                   mismatches, static_cast<unsigned long long>(quantum));
-      return 1;
-    }
-
-    asfcommon::Table ev("Parallel-exec overhead (vs --slack-exec-jobs 1, sweep --jobs 1)");
-    ev.SetHeader({"slack-exec-jobs", "wall s", "overhead", "exec epochs", "worker windows"});
-    const double base_wall = exec_passes[0].wall_seconds;
-    for (size_t j = 0; j < exec_passes.size(); ++j) {
-      const PassResult& p = exec_passes[j];
-      const double ratio = base_wall > 0.0 ? p.wall_seconds / base_wall : 0.0;
-      ev.AddRow({std::to_string(kExecJobs[j]), asfcommon::Table::Num(p.wall_seconds, 3),
-                 j == 0 ? "-" : asfcommon::Table::Num(100.0 * (ratio - 1.0), 1) + "%",
-                 asfcommon::Table::Int(static_cast<long long>(p.host.slack_exec_epochs)),
-                 asfcommon::Table::Int(static_cast<long long>(p.host.slack_exec_windows))});
-    }
-    ev.Print();
-    report.Add(ev);
-
-    std::printf("slack-exec-check: all %zu extended digests identical across "
-                "--slack-exec-jobs {1,2,4} at quantum %llu\n",
-                obs_grid.size(), static_cast<unsigned long long>(quantum));
-    if (host_cpus < 2) {
-      std::printf(
-          "note: single-CPU host; jobs>1 rows measure oversubscription overhead "
-          "(budget <=10%%), not speedup\n");
-    }
-    std::printf("\n");
   }
 
   const double speedup =
@@ -763,25 +372,6 @@ int main(int argc, char** argv) {
   dir.Print();
   report.Add(dir);
 
-  // Parallel slack-planning telemetry (parallel pass). Printed in every run —
-  // including --quick — so the CI smoke run sees worker occupancy drop to
-  // zero the moment a change stops exercising the sharded backend.
-  // Fixed title (no slack-jobs value): reports from different fan-outs must
-  // stay table-matched for bench_diff, which reads the fan-out from the JSON
-  // header instead.
-  asfcommon::Table occ =
-      OccupancyTable("Parallel slack planning (parallel pass)", parallel.host);
-  occ.Print();
-  report.Add(occ);
-
-  // Window-execution telemetry for the same pass — all-zero rows simply mean
-  // it ran with --slack-exec-jobs 1 (or slack disabled), so a silently-dead
-  // execution pool is visible as a regression.
-  asfcommon::Table eocc =
-      ExecOccupancyTable("Parallel window execution (parallel pass)", parallel.host);
-  eocc.Print();
-  report.Add(eocc);
-
   asfcommon::Table digests(kDigestTableTitle);
   digests.SetHeader({"configuration", "digest (tx:cycles:attempts:aborts)"});
   for (size_t i = 0; i < grid.size(); ++i) {
@@ -794,9 +384,6 @@ int main(int argc, char** argv) {
   summary.AddRow({"host cpus", std::to_string(host_cpus)});
   summary.AddRow({"host affinity cpus", std::to_string(host_info.affinity_cpus)});
   summary.AddRow({"parallel jobs", std::to_string(parallel_jobs)});
-  summary.AddRow({"slack quantum (parallel pass)", std::to_string(opt.slack)});
-  summary.AddRow({"slack jobs (parallel pass)", std::to_string(opt.slack_jobs)});
-  summary.AddRow({"slack exec jobs (parallel pass)", std::to_string(opt.slack_exec_jobs)});
   summary.AddRow({"configurations", std::to_string(grid.size())});
   summary.AddRow({"speedup (serial wall / parallel wall)", asfcommon::Table::Num(speedup, 2)});
   summary.AddRow({"determinism", "jobs-invariant (all digests equal)"});

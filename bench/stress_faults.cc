@@ -203,9 +203,6 @@ int main(int argc, char** argv) {
   // Every (schedule, runtime) cell — and the replay re-run, when asked for —
   // is an independent simulation; fan them all out, then format in order.
   harness::SweepRunner sweep(opt.base.jobs);
-  sweep.SetSlackCycles(opt.base.slack);
-  sweep.SetSlackJobs(opt.base.slack_jobs);
-  sweep.SetSlackExecJobs(opt.base.slack_exec_jobs);
   for (const NamedSchedule& ns : schedules) {
     for (const NamedRuntime& nr : runtimes) {
       harness::StressConfig sc;

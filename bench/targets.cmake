@@ -54,9 +54,10 @@ set_tests_properties(litmus_mutation_check PROPERTIES WILL_FAIL TRUE LABELS "lit
 
 # The self-benchmark smoke doubles as the sweep-determinism gate (serial and
 # parallel passes must produce identical digests); `ctest -L perf` runs just
-# the perf anchors.
-set_tests_properties(bench_smoke_perf_selfcheck bench_smoke_perf_selfcheck_json
-                     PROPERTIES LABELS "perf")
+# the perf anchors. Its parallel pass also puts it in the `host_threads` tier
+# (the TSan tier in tools/run_tiers.sh) beside sweep_test and frame_pool_test.
+set_tests_properties(bench_smoke_perf_selfcheck PROPERTIES LABELS "perf;host_threads")
+set_tests_properties(bench_smoke_perf_selfcheck_json PROPERTIES LABELS "perf")
 
 # Bit-identity gate for host-side fast paths: the full-mode digests must match
 # the checked-in reference report exactly (regenerate BENCH_sim_throughput.json
@@ -74,99 +75,6 @@ add_test(NAME perf_smoke
          COMMAND perf_selfcheck --quick --gate-check)
 set_tests_properties(perf_smoke PROPERTIES LABELS "perf")
 
-# Bounded-slack tier (`ctest -L slack`, docs/PERFORMANCE.md): the quantum
-# execution mode must stay bit-identical to the exact event loop.
-# slack_check_smoke replays the whole --quick grid at a 256-cycle quantum and
-# hard-fails on any digest mismatch; slack_verify_contended replays a
-# contention-heavy list workload (cross-core aborts, serialize policy — the
-# worst case for the window protocol) exact-vs-slack through asf_explore.
-add_test(NAME slack_check_smoke COMMAND perf_selfcheck --quick --slack-check)
-set_tests_properties(slack_check_smoke PROPERTIES LABELS "slack;perf")
-add_test(NAME slack_verify_contended
-         COMMAND asf_explore --workload intset --structure list --range 64
-                 --update 100 --threads 8 --ops 80 --policy serialize
-                 --slack 4096 --slack-verify 1)
-set_tests_properties(slack_verify_contended PROPERTIES LABELS "slack")
-# Mutation check: with the per-quantum dirty-line journal disabled
-# (ASF_SLACK_NO_JOURNAL=1) the same verify MUST diverge (exit 1) — a slack
-# mode that stays bit-identical without its tear/conflict journal means the
-# journal is dead code and the equivalence gate has lost its teeth.
-add_test(NAME slack_mutation_check
-         COMMAND asf_explore --workload intset --structure list --range 64
-                 --update 100 --threads 8 --ops 80 --policy serialize
-                 --slack 4096 --slack-verify 1)
-set_tests_properties(slack_mutation_check PROPERTIES
-                     ENVIRONMENT "ASF_SLACK_NO_JOURNAL=1"
-                     WILL_FAIL TRUE LABELS "slack")
-
-# Host-parallel slack tier (`ctest -L slack_par`; subset of `-L slack`, so
-# the TSan build covers it too): planning windows on a worker pool must stay
-# bit-identical to both the exact loop and the serial slack backend.
-# slack_par_check_smoke replays the --quick grid at --slack-jobs {1,2,4} and
-# hard-fails on any digest mismatch, printing the worker-occupancy table;
-# slack_par_verify sweeps the contended asf_explore config across thread
-# counts x fan-outs.
-add_test(NAME slack_par_check_smoke
-         COMMAND perf_selfcheck --quick --slack 256 --slack-jobs 2 --slack-par-check)
-set_tests_properties(slack_par_check_smoke PROPERTIES LABELS "slack_par;slack;perf")
-add_test(NAME slack_par_verify
-         COMMAND asf_explore --workload intset --structure list --range 64
-                 --update 100 --threads 8 --ops 80 --policy serialize
-                 --slack 4096 --slack-jobs 4 --slack-verify 1)
-set_tests_properties(slack_par_verify PROPERTIES LABELS "slack_par;slack")
-# Mutation check: with the cross-partition horizon dropped
-# (ASF_SLACK_NO_BARRIER=1) the same verify MUST diverge (exit 1). The sweep
-# includes --slack-jobs >= 2 because the mutation is deliberately a no-op on
-# the jobs=1 scan backend (which never consults partitions) — a divergence
-# there would mean the serial path regressed, not that the barrier matters.
-add_test(NAME slack_par_mutation_check
-         COMMAND asf_explore --workload intset --structure list --range 64
-                 --update 100 --threads 8 --ops 80 --policy serialize
-                 --slack 4096 --slack-jobs 4 --slack-verify 1)
-set_tests_properties(slack_par_mutation_check PROPERTIES
-                     ENVIRONMENT "ASF_SLACK_NO_BARRIER=1"
-                     WILL_FAIL TRUE LABELS "slack_par;slack")
-
-# Host-parallel window execution tier (`ctest -L slack_exec`; subset of
-# `-L slack`, so the TSan build covers it too): resuming footprint-disjoint
-# windows concurrently on the worker pool must stay bit-identical to the
-# serial backends. slack_exec_check_smoke replays the --quick grid at
-# --slack-exec-jobs {1,2,4} with extended observable digests (latency
-# histograms + heatmap fingerprints) and prints the execution-occupancy
-# table; slack_exec_verify sweeps the contended asf_explore config with the
-# profitability gate disabled (ASF_SLACK_EXEC_EAGER=1) so every formable
-# epoch actually co-runs.
-add_test(NAME slack_exec_check_smoke
-         COMMAND perf_selfcheck --quick --slack 256 --slack-exec-check)
-set_tests_properties(slack_exec_check_smoke PROPERTIES
-                     LABELS "slack_exec;slack;perf")
-add_test(NAME slack_exec_verify
-         COMMAND asf_explore --workload intset --structure list --range 64
-                 --update 100 --threads 8 --ops 80 --runtime stm
-                 --policy serialize --slack 4096 --slack-exec-jobs 4
-                 --slack-verify 1)
-set_tests_properties(slack_exec_verify PROPERTIES
-                     ENVIRONMENT "ASF_SLACK_EXEC_EAGER=1"
-                     LABELS "slack_exec;slack")
-# Mutation check: with footprint admission, the first-touch license, and the
-# wave ordering all dropped (ASF_SLACK_EXEC_NO_ADMISSION=1) the same verify
-# MUST diverge or crash (non-zero exit) — co-execution that stays
-# bit-identical without its admission machinery would mean the disjointness
-# gate is dead code. The software-TM runtime is the load-bearing choice: its
-# transactions are plain loads/stores of shared lines (list nodes, the lock
-# table, the global clock), so unordered windows commit stale L1 hits whose
-# invalidating writes replay earlier in simulated time. The hardware-ASF
-# runtime would mask the mutation — active regions never co-run at all
-# (AdmitParallelWindow refuses them), independent of the dropped checks.
-add_test(NAME slack_exec_mutation_check
-         COMMAND asf_explore --workload intset --structure list --range 64
-                 --update 100 --threads 8 --ops 80 --runtime stm
-                 --policy serialize --slack 4096 --slack-exec-jobs 4
-                 --slack-verify 1)
-set_tests_properties(slack_exec_mutation_check PROPERTIES
-                     ENVIRONMENT "ASF_SLACK_EXEC_NO_ADMISSION=1"
-                     WILL_FAIL TRUE LABELS "slack_exec;slack")
-
 # bench_diff sanity: a report diffed against itself reports no regressions,
 # and its --json comparison report parses with the documented top-level keys.
 add_test(NAME bench_diff_selfcheck
@@ -177,7 +85,7 @@ set_tests_properties(bench_diff_selfcheck PROPERTIES
                      DEPENDS bench_smoke_perf_selfcheck LABELS "perf")
 add_test(NAME bench_diff_selfcheck_json
          COMMAND json_check ${CMAKE_BINARY_DIR}/bench/bench_diff.selfcheck.json
-                 benchmark threshold modes deltas progress_deltas summary)
+                 benchmark threshold deltas progress_deltas summary)
 set_tests_properties(bench_diff_selfcheck_json PROPERTIES
                      DEPENDS bench_diff_selfcheck LABELS "perf")
 

@@ -40,9 +40,6 @@ Machine::Machine(const MachineParams& params)
     contexts_.push_back(std::make_unique<AsfContext>(i, params.variant));
     contexts_.back()->BindDirectory(&directory_);
   }
-  scheduler_.SetSlackCycles(params.slack_cycles);
-  scheduler_.SetSlackJobs(params.slack_jobs);
-  scheduler_.SetSlackExecJobs(params.slack_exec_jobs);
   scheduler_.SetAccessHandler(this);
   mem_.SetListener(this);
 }
@@ -50,10 +47,6 @@ Machine::Machine(const MachineParams& params)
 Machine::~Machine() = default;
 
 uint64_t Machine::AbortVictim(uint32_t core, AbortCause cause) {
-  // Slack mode: a cross-core speculative overlap inside an open quantum
-  // window demotes the window to the exact path (no-op when `core` is the
-  // window owner aborting itself, or when no window is open).
-  scheduler_.NoteCrossCoreAbort(core);
   AsfContext& victim = *contexts_[core];
   const bool had_writes = victim.write_set_lines() > 0;
   victim.Abort(cause);
@@ -87,7 +80,7 @@ AccessOutcome Machine::OnAccess(SimThread& thread, AccessKind kind, uint64_t add
         ev.attempt = thread.core().attempt_seq();
         ev.arg0 = inj.abort ? 1 : 0;
         ev.arg1 = inj.extra_latency;
-        EmitTx(cid, ev);
+        tx_sink_->OnTxEvent(ev);
       }
       if (inj.abort) {
         ctx.Abort(inj.cause);
@@ -186,7 +179,7 @@ AccessOutcome Machine::OnAccess(SimThread& thread, AccessKind kind, uint64_t add
         ev.attempt = scheduler_.thread(v).core().attempt_seq();
         ev.arg0 = ObsLine(line);
         ev.arg1 = asfobs::PackConflictEdge(cid, r->writer == v, write_like);
-        EmitTx(cid, ev);
+        tx_sink_->OnTxEvent(ev);
       }
     }
   }
@@ -208,12 +201,6 @@ AccessOutcome Machine::OnAccess(SimThread& thread, AccessKind kind, uint64_t add
         return {costs.abort_op, true};
       }
     }
-  }
-
-  // Slack mode: journal the window owner's speculatively written lines (the
-  // per-quantum dirty-line journal; inline no-op when no window is open).
-  if (ctx.active() && write_like) {
-    scheduler_.NoteSpeculativeWrite(cid, first, last);
   }
 
   // 3. Timing (caches, TLB, page faults). L1 displacements observed here can
@@ -270,43 +257,6 @@ AccessOutcome Machine::OnAccess(SimThread& thread, AccessKind kind, uint64_t add
     }
   }
   return {latency, false};
-}
-
-bool Machine::AdmitParallelWindow(uint32_t core_id) {
-  // The injector's schedule is a function of its per-core access counts;
-  // accesses it never observes (worker-committed ones) would shift every
-  // later fault, so injected runs stay serial. An active region's accesses
-  // all touch shared conflict/protected-set state — also serial.
-  return fault_injector_ == nullptr && !contexts_[core_id]->active();
-}
-
-bool Machine::TryParallelAccess(SimThread& thread, AccessKind kind, uint64_t addr,
-                                uint32_t size, AccessOutcome* out) {
-  if (kind != AccessKind::kLoad && kind != AccessKind::kStore) {
-    return false;
-  }
-  const uint32_t cid = thread.id();
-  if (fault_injector_ != nullptr || contexts_[cid]->active()) {
-    return false;  // Admission re-checks; both can flip mid-window via traps.
-  }
-  // Conflict resolution is provably a no-op iff no touched line has a
-  // directory record (Resolve would find zero victims and mutate only its
-  // host-side telemetry). Find() is pure, so a failed probe has no effects.
-  const uint64_t first = LineOf(addr);
-  const uint64_t last = LineOf(addr + size - 1);
-  for (uint64_t line = first; line <= last; ++line) {
-    if (directory_.Find(line) != nullptr) {
-      return false;
-    }
-  }
-  asfmem::MemResult mr;
-  if (!mem_.TryAccessCoreLocal(cid, addr, size, kind == AccessKind::kStore, &mr)) {
-    return false;
-  }
-  ASF_CHECK(!mr.page_fault);
-  out->latency = mr.latency;
-  out->self_abort = false;
-  return true;
 }
 
 bool Machine::OnInterrupt(SimThread& thread) {

@@ -45,30 +45,6 @@ struct MachineParams {
   // enumerated interleaving and the mmap/munmap of a large reservation
   // dominates its host time.
   uint64_t arena_bytes = 512ull << 20;
-  // Bounded-slack quantum execution (src/sim/slack.h; --slack N in every
-  // bench and asf_explore): cores simulate ahead through quantum windows of
-  // this many cycles, demoted to the exact interleaved path on cross-core
-  // interaction. 0 (the default) keeps the exact single-event loop; results
-  // are bit-identical for every value (perf_selfcheck --slack-check).
-  uint64_t slack_cycles = 0;
-  // Host-parallel slack planning (src/sim/slack_pool.h; --slack-jobs N in
-  // every bench and asf_explore): partitions the simulated threads across
-  // this many host workers that plan quantum windows behind a fork/join
-  // barrier — the only path that speeds up a *single* large-machine run, as
-  // opposed to the sweep engine's per-(config,seed) --jobs fan-out. 0/1 (the
-  // default) keep the serial slack engine; a no-op unless slack_cycles is
-  // also set. Results are bit-identical for every value (perf_selfcheck
-  // --slack-par-check, tests/slack_parallel_test.cc).
-  uint32_t slack_jobs = 1;
-  // Host-parallel window EXECUTION (--slack-exec-jobs N in every bench and
-  // asf_explore): fork/join epochs of footprint-disjoint quantum windows run
-  // concurrently on a worker pool; anything not provably core-confined traps
-  // back to the coordinator's exact serial path. 0/1 (the default) keep
-  // serial execution; a no-op unless slack_cycles is also set. Selecting it
-  // uses the serial scan planner (slack_jobs applies only when this is <= 1).
-  // Results are bit-identical for every value (perf_selfcheck
-  // --slack-exec-check, tests/slack_exec_test.cc).
-  uint32_t slack_exec_jobs = 1;
   // Mutation hook for the litmus suite (src/litmus): skips requester-wins
   // conflict resolution for *plain loads only*, letting an unannotated read
   // observe another core's uncommitted speculative store (a dirty read).
@@ -109,9 +85,8 @@ class Machine : public asfsim::AccessHandler, public asfmem::MemEventListener {
   // (src/common/arena.h). Rebasing at the source keeps live recorders,
   // offline replays, and trace exports consistent with each other, and
   // makes heatmaps bit-identical across runs whatever ran before in the
-  // process (e.g. a slack planning pool whose cached thread stacks shifted
-  // the next arena's placement). Lines outside the arena (runtime metadata
-  // in host statics) pass through absolute.
+  // process. Lines outside the arena (runtime metadata in host statics) pass
+  // through absolute.
   uint64_t ObsLine(uint64_t line) const {
     const uint64_t base = arena_.base() >> asfcommon::kCacheLineShift;
     const uint64_t count = arena_.capacity() >> asfcommon::kCacheLineShift;
@@ -147,39 +122,10 @@ class Machine : public asfsim::AccessHandler, public asfmem::MemEventListener {
     ASF_CHECK_MSG(false, "ABORT resumed its issuing region");
   }
 
-  // Routes a lifecycle event to the sink, deferring it to the epoch commit
-  // when the issuing thread (`issuer`) currently runs inside a parallel
-  // window — observer order then matches the serial schedule exactly, and
-  // the sink is only ever called from the coordinating host thread. No-op
-  // without a sink.
-  void EmitTx(uint32_t issuer, const asfobs::TxEvent& ev) {
-    if (tx_sink_ == nullptr) {
-      return;
-    }
-    if (scheduler_.InWorkerWindow(issuer)) {
-      scheduler_.DeferWindowEffect(issuer,
-                                  [this, ev] { tx_sink_->OnTxEvent(ev); });
-      return;
-    }
-    tx_sink_->OnTxEvent(ev);
-  }
-
   // --- AccessHandler -------------------------------------------------------
   asfsim::AccessOutcome OnAccess(asfsim::SimThread& thread, asfsim::AccessKind kind,
                                  uint64_t addr, uint32_t size) override;
   bool OnInterrupt(asfsim::SimThread& thread) override;
-  // Host-parallel window execution (src/sim/scheduler.h): a thread may enter
-  // a concurrently executed window only with no active speculative region
-  // and no fault injector attached (the injector counts every access to
-  // schedule faults — skipping worker accesses would diverge its schedule).
-  bool AdmitParallelWindow(uint32_t core_id) override;
-  // Core-confined replication of OnAccess for plain loads/stores outside
-  // speculative regions: requires every touched line absent from the
-  // conflict directory (then conflict resolution is provably a no-op) and
-  // the timing side to succeed core-locally (MemorySystem::
-  // TryAccessCoreLocal). Returns false with zero side effects otherwise.
-  bool TryParallelAccess(asfsim::SimThread& thread, asfsim::AccessKind kind, uint64_t addr,
-                         uint32_t size, asfsim::AccessOutcome* out) override;
 
   // --- MemEventListener ----------------------------------------------------
   void OnL1LineDropped(uint32_t core, uint64_t line) override;

@@ -15,10 +15,10 @@
 //  * One pool per host thread (`FramePool::ForThread()`), matching the sweep
 //    engine's job model (src/harness/sweep.h): a job's frames mostly live and
 //    die on its worker thread. Each block carries its owning pool in a
-//    16-byte header; a block freed from a different thread (routine under
-//    host-parallel window execution, where a coroutine frame allocated on one
-//    pool worker is destroyed on another or on the coordinator) is adopted
-//    into the freeing thread's own free list — never pushed onto the foreign
+//    16-byte header; a block freed from a different thread (a coroutine
+//    created on one host thread and destroyed on another, e.g. one built
+//    before its sweep job was handed to a worker) is adopted into the
+//    freeing thread's own free list — never pushed onto the foreign
 //    list (that would corrupt it) and never silently leaked to the host
 //    allocator on the hot path.
 //  * Frames are recycled verbatim, so stale-frame bugs (use-after-destroy of
@@ -107,13 +107,12 @@ class FramePool {
 
   // Frees through the freeing thread's own free list; oversize blocks go
   // back to the host allocator. Safe to call from any thread: a block freed
-  // off its allocating thread (a coroutine frame migrated by host-parallel
-  // window execution, src/sim/scheduler.h) is exclusively owned by the
-  // freeing thread at this point — ownership was handed over through the
-  // worker pool's fork/join barrier — so it is re-tagged and adopted into
-  // the local pool rather than leaked to the host allocator. The old-owner
-  // pointer is only *compared*, never dereferenced, so a pool that died with
-  // its thread cannot be touched.
+  // off its allocating thread is exclusively owned by the freeing thread at
+  // this point — ownership was handed over by whatever synchronization moved
+  // the coroutine between threads (e.g. a sweep job's thread start or join)
+  // — so it is re-tagged and adopted into the local pool rather than leaked
+  // to the host allocator. The old-owner pointer is only *compared*, never
+  // dereferenced, so a pool that died with its thread cannot be touched.
   static void Free(void* p) {
     if (p == nullptr) {
       return;

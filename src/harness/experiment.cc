@@ -165,9 +165,6 @@ IntsetResult RunIntsetOnParams(const IntsetConfig& cfg,
                                const asf::MachineParams& machine_params) {
   ASF_CHECK(cfg.threads >= 1 && cfg.threads <= 8);
   asf::MachineParams mp = machine_params;
-  mp.slack_cycles = cfg.slack_cycles;
-  mp.slack_jobs = cfg.slack_jobs;
-  mp.slack_exec_jobs = cfg.slack_exec_jobs;
   asf::Machine m(mp);
   if (cfg.obs.tracer != nullptr) {
     m.scheduler().SetTracer(cfg.obs.tracer);
@@ -308,28 +305,6 @@ IntsetResult RunIntsetOnParams(const IntsetConfig& cfg,
   result.host.mem_accesses = fp.accesses;
   result.host.mem_line_hits = fp.line_hits;
   result.host.mem_page_hits = fp.page_hits;
-  const asfsim::SlackStats& ss = m.scheduler().slack_stats();
-  result.host.slack_quanta = ss.quanta;
-  result.host.slack_solo_quanta = ss.solo_quanta;
-  result.host.slack_torn_quanta = ss.torn_quanta;
-  result.host.slack_conflict_quanta = ss.conflict_quanta;
-  result.host.slack_batched = ss.batched_events;
-  result.host.slack_journal_lines = ss.journal_lines;
-  result.host.slack_plan_forks = ss.plan_forks;
-  result.host.slack_plan_events = ss.plan_events;
-  result.host.slack_sharded_windows = ss.sharded_windows;
-  result.host.slack_overlay_resolves = ss.overlay_resolves;
-  result.host.slack_worker_planned = ss.worker_planned;
-  result.host.slack_exec_epochs = ss.exec_epochs;
-  result.host.slack_exec_windows = ss.exec_windows;
-  result.host.slack_exec_events = ss.exec_events;
-  result.host.slack_exec_trapped = ss.exec_trapped;
-  result.host.slack_exec_synced = ss.exec_synced;
-  result.host.slack_exec_wave_parks = ss.exec_wave_parks;
-  result.host.slack_exec_admit_rejects = ss.exec_admit_rejects;
-  result.host.slack_exec_serial_windows = ss.exec_serial_windows;
-  result.host.slack_exec_backoff_skips = ss.exec_backoff_skips;
-  result.host.slack_exec_worker_events = ss.exec_worker_events;
   const asf::ConflictDirectory::Stats& ds = m.conflict_directory().stats();
   result.host.dir_resolutions = ds.resolutions;
   result.host.dir_gate_skips = ds.gate_skips;

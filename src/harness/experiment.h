@@ -78,20 +78,6 @@ struct IntsetConfig {
   // "exp-backoff:retries=4", "serialize", "adaptive"); empty = the runtime's
   // built-in default. Ignored by kSequential / kGlobalLock.
   std::string contention_policy;
-  // Bounded-slack quantum execution (MachineParams::slack_cycles; --slack N
-  // on every bench). 0 = the exact single-event loop. Any value must produce
-  // bit-identical results; perf_selfcheck --slack-check enforces this.
-  uint64_t slack_cycles = 0;
-  // Host-parallel slack planning (MachineParams::slack_jobs; --slack-jobs N
-  // on every bench). 0/1 = the serial slack engine; a no-op unless
-  // slack_cycles is set. Bit-identical for every value (perf_selfcheck
-  // --slack-par-check).
-  uint32_t slack_jobs = 1;
-  // Host-parallel window EXECUTION (MachineParams::slack_exec_jobs;
-  // --slack-exec-jobs N on every bench). 0/1 = serial execution; a no-op
-  // unless slack_cycles is set. Bit-identical for every value
-  // (perf_selfcheck --slack-exec-check).
-  uint32_t slack_exec_jobs = 1;
   ObsHooks obs;
   // Collect per-transaction latency percentiles and the hot-line heatmap for
   // this run (host-side recorders chained in front of obs.tx_sink; fills
@@ -132,33 +118,6 @@ struct HostPerf {
   uint64_t dir_solo_fast_paths = 0; // Single-speculator short circuit taken.
   uint64_t dir_probes = 0;          // Directory line lookups.
   uint64_t dir_probe_hits = 0;      // Lookups that found a record.
-  // Bounded-slack quantum telemetry (asfsim::SlackStats; zero when the run
-  // used the exact loop, i.e. slack_cycles == 0).
-  uint64_t slack_quanta = 0;         // Quantum windows opened.
-  uint64_t slack_solo_quanta = 0;    // Windows with no other in-window event.
-  uint64_t slack_torn_quanta = 0;    // Demoted by a cross-thread wake.
-  uint64_t slack_conflict_quanta = 0;// Demoted by cross-core spec. overlap.
-  uint64_t slack_batched = 0;        // Events consumed at the suspension point.
-  uint64_t slack_journal_lines = 0;  // Dirty lines journaled across quanta.
-  // Host-parallel slack planning telemetry (sharded backend; zero unless
-  // slack_jobs > 1 — see src/sim/slack_pool.h).
-  uint64_t slack_plan_forks = 0;       // Fork/join plan epochs on the pool.
-  uint64_t slack_plan_events = 0;      // Events snapshotted into plans.
-  uint64_t slack_sharded_windows = 0;  // Windows dispatched via merge.
-  uint64_t slack_overlay_resolves = 0; // Merges served by the overlay alone.
-  std::vector<uint64_t> slack_worker_planned;  // Per-worker occupancy.
-  // Host-parallel window-execution telemetry (zero unless slack_exec_jobs > 1
-  // — see src/sim/scheduler.h, RunSlackParallel).
-  uint64_t slack_exec_epochs = 0;          // Fork/join epochs that co-ran windows.
-  uint64_t slack_exec_windows = 0;         // Windows executed on pool workers.
-  uint64_t slack_exec_events = 0;          // Events consumed on pool workers.
-  uint64_t slack_exec_trapped = 0;         // Windows torn by a first-touch trap.
-  uint64_t slack_exec_synced = 0;          // Windows torn at a sync/fence op.
-  uint64_t slack_exec_wave_parks = 0;      // Windows parked by the wave protocol.
-  uint64_t slack_exec_admit_rejects = 0;   // Candidates refused admission.
-  uint64_t slack_exec_serial_windows = 0;  // Fallback serial window dispatches.
-  uint64_t slack_exec_backoff_skips = 0;   // Windows serialized by the gate.
-  std::vector<uint64_t> slack_exec_worker_events;  // Per-worker occupancy.
 };
 
 struct IntsetResult {

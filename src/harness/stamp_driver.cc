@@ -56,9 +56,6 @@ const std::vector<std::string>& StampAppNames() {
 StampResult RunStamp(stamp::StampApp& app, const StampConfig& cfg) {
   ASF_CHECK(cfg.threads >= 1 && cfg.threads <= 8);
   asf::MachineParams mp = PaperMachineParams(cfg.variant, cfg.threads, cfg.timer_interrupts);
-  mp.slack_cycles = cfg.slack_cycles;
-  mp.slack_jobs = cfg.slack_jobs;
-  mp.slack_exec_jobs = cfg.slack_exec_jobs;
   asf::Machine m(mp);
   if (cfg.obs.tracer != nullptr) {
     m.scheduler().SetTracer(cfg.obs.tracer);

@@ -30,12 +30,6 @@ struct StampConfig {
   ObsHooks obs;
   // Collect latency percentiles + hot-line heatmap (see IntsetConfig).
   bool collect_latency = false;
-  // Bounded-slack quantum execution (see IntsetConfig::slack_cycles).
-  uint64_t slack_cycles = 0;
-  // Host-parallel slack planning (see IntsetConfig::slack_jobs).
-  uint32_t slack_jobs = 1;
-  // Host-parallel window execution (see IntsetConfig::slack_exec_jobs).
-  uint32_t slack_exec_jobs = 1;
 };
 
 struct StampResult {

@@ -61,9 +61,6 @@ StressResult RunStress(const StressConfig& cfg) {
   const IntsetConfig& ic = cfg.intset;
   ASF_CHECK(ic.threads >= 1 && ic.threads <= 8);
   asf::MachineParams mp = PaperMachineParams(ic.variant, ic.threads, ic.timer_interrupts);
-  mp.slack_cycles = ic.slack_cycles;
-  mp.slack_jobs = ic.slack_jobs;
-  mp.slack_exec_jobs = ic.slack_exec_jobs;
   asf::Machine m(mp);
 
   asffault::FaultInjector injector(cfg.schedule, m.scheduler().num_cores());

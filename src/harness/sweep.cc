@@ -51,19 +51,9 @@ SweepRunner::SweepRunner(uint32_t jobs) : jobs_(jobs == 0 ? DefaultJobs() : jobs
 size_t SweepRunner::SubmitIntset(const IntsetConfig& cfg) {
   ASF_CHECK_MSG(jobs_ == 1 || (cfg.obs.tracer == nullptr && cfg.obs.tx_sink == nullptr),
                 "obs hooks cannot be shared across parallel sweep jobs");
-  IntsetConfig job_cfg = cfg;
-  if (job_cfg.slack_cycles == 0) {
-    job_cfg.slack_cycles = default_slack_cycles_;
-  }
-  if (job_cfg.slack_jobs <= 1) {
-    job_cfg.slack_jobs = default_slack_jobs_;
-  }
-  if (job_cfg.slack_exec_jobs <= 1) {
-    job_cfg.slack_exec_jobs = default_slack_exec_jobs_;
-  }
   intset_results_.emplace_back();
   IntsetResult* slot = &intset_results_.back();
-  queue_.push_back([job_cfg, slot]() { *slot = RunIntset(job_cfg); });
+  queue_.push_back([cfg, slot]() { *slot = RunIntset(cfg); });
   return intset_results_.size() - 1;
 }
 
@@ -71,40 +61,20 @@ size_t SweepRunner::SubmitIntsetOnParams(const IntsetConfig& cfg,
                                          const asf::MachineParams& params) {
   ASF_CHECK_MSG(jobs_ == 1 || (cfg.obs.tracer == nullptr && cfg.obs.tx_sink == nullptr),
                 "obs hooks cannot be shared across parallel sweep jobs");
-  IntsetConfig job_cfg = cfg;
-  if (job_cfg.slack_cycles == 0) {
-    job_cfg.slack_cycles = default_slack_cycles_;
-  }
-  if (job_cfg.slack_jobs <= 1) {
-    job_cfg.slack_jobs = default_slack_jobs_;
-  }
-  if (job_cfg.slack_exec_jobs <= 1) {
-    job_cfg.slack_exec_jobs = default_slack_exec_jobs_;
-  }
   intset_results_.emplace_back();
   IntsetResult* slot = &intset_results_.back();
-  queue_.push_back([job_cfg, params, slot]() { *slot = RunIntsetOnParams(job_cfg, params); });
+  queue_.push_back([cfg, params, slot]() { *slot = RunIntsetOnParams(cfg, params); });
   return intset_results_.size() - 1;
 }
 
 size_t SweepRunner::SubmitStamp(const std::string& app_name, const StampConfig& cfg) {
   ASF_CHECK_MSG(jobs_ == 1 || (cfg.obs.tracer == nullptr && cfg.obs.tx_sink == nullptr),
                 "obs hooks cannot be shared across parallel sweep jobs");
-  StampConfig job_cfg = cfg;
-  if (job_cfg.slack_cycles == 0) {
-    job_cfg.slack_cycles = default_slack_cycles_;
-  }
-  if (job_cfg.slack_jobs <= 1) {
-    job_cfg.slack_jobs = default_slack_jobs_;
-  }
-  if (job_cfg.slack_exec_jobs <= 1) {
-    job_cfg.slack_exec_jobs = default_slack_exec_jobs_;
-  }
   stamp_results_.emplace_back();
   StampResult* slot = &stamp_results_.back();
-  queue_.push_back([app_name, job_cfg, slot]() {
+  queue_.push_back([app_name, cfg, slot]() {
     auto app = MakeStampApp(app_name);
-    *slot = RunStamp(*app, job_cfg);
+    *slot = RunStamp(*app, cfg);
   });
   return stamp_results_.size() - 1;
 }
@@ -113,19 +83,9 @@ size_t SweepRunner::SubmitStress(const StressConfig& cfg) {
   ASF_CHECK_MSG(jobs_ == 1 ||
                     (cfg.intset.obs.tracer == nullptr && cfg.intset.obs.tx_sink == nullptr),
                 "obs hooks cannot be shared across parallel sweep jobs");
-  StressConfig job_cfg = cfg;
-  if (job_cfg.intset.slack_cycles == 0) {
-    job_cfg.intset.slack_cycles = default_slack_cycles_;
-  }
-  if (job_cfg.intset.slack_jobs <= 1) {
-    job_cfg.intset.slack_jobs = default_slack_jobs_;
-  }
-  if (job_cfg.intset.slack_exec_jobs <= 1) {
-    job_cfg.intset.slack_exec_jobs = default_slack_exec_jobs_;
-  }
   stress_results_.emplace_back();
   StressResult* slot = &stress_results_.back();
-  queue_.push_back([job_cfg, slot]() { *slot = RunStress(job_cfg); });
+  queue_.push_back([cfg, slot]() { *slot = RunStress(cfg); });
   return stress_results_.size() - 1;
 }
 

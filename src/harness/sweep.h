@@ -60,29 +60,6 @@ class SweepRunner {
 
   uint32_t jobs() const { return jobs_; }
 
-  // Default bounded-slack quantum applied to every config submitted after
-  // this call that did not set one itself (cfg slack_cycles == 0): the one
-  // line through which every bench plumbs --slack. Results are bit-identical
-  // for every value (see src/sim/slack.h), so this is safe to set
-  // unconditionally from the parsed options.
-  void SetSlackCycles(uint64_t cycles) { default_slack_cycles_ = cycles; }
-  uint64_t slack_cycles() const { return default_slack_cycles_; }
-
-  // Default host-parallel slack planning fan-out applied the same way (cfg
-  // slack_jobs <= 1): the one line through which every bench plumbs
-  // --slack-jobs. Orthogonal to this runner's own per-(config,seed) `jobs`
-  // fan-out — slack jobs parallelize planning *inside* one machine. Also
-  // bit-identical for every value (perf_selfcheck --slack-par-check).
-  void SetSlackJobs(uint32_t jobs) { default_slack_jobs_ = jobs; }
-  uint32_t slack_jobs() const { return default_slack_jobs_; }
-
-  // Default host-parallel window-execution fan-out applied the same way (cfg
-  // slack_exec_jobs <= 1): the one line through which every bench plumbs
-  // --slack-exec-jobs. Also bit-identical for every value (perf_selfcheck
-  // --slack-exec-check).
-  void SetSlackExecJobs(uint32_t jobs) { default_slack_exec_jobs_ = jobs; }
-  uint32_t slack_exec_jobs() const { return default_slack_exec_jobs_; }
-
   // Each Submit* returns an index into that family's result accessor below.
   // Configs must not carry obs hooks shared with another job; attach
   // observers from inside a custom Submit() job instead (one session per
@@ -106,9 +83,6 @@ class SweepRunner {
 
  private:
   const uint32_t jobs_;
-  uint64_t default_slack_cycles_ = 0;
-  uint32_t default_slack_jobs_ = 1;
-  uint32_t default_slack_exec_jobs_ = 1;
   std::vector<std::function<void()>> queue_;
   // Deques: growth never moves existing elements, so queued jobs can hold
   // stable result pointers.

@@ -123,92 +123,6 @@ MemResult MemorySystem::Access(uint32_t core, uint64_t addr, uint32_t size, bool
   return result;
 }
 
-bool MemorySystem::TryAccessCoreLocal(uint32_t core, uint64_t addr, uint32_t size,
-                                      bool is_write, MemResult* out) {
-  ASF_CHECK(core < num_cores());
-  ASF_CHECK(size >= 1);
-  const uint64_t first_page = PageOf(addr);
-  const uint64_t last_page = PageOf(addr + size - 1);
-  const uint64_t first_line = LineOf(addr);
-  const uint64_t last_line = LineOf(addr + size - 1);
-  if (first_line != last_line || first_page != last_page) {
-    return false;  // Multi-line/page accesses always take the full path.
-  }
-  CoreMemo& memo = memos_[core];
-  MemStats& st = stats_[core];
-  MemFastPathStats& fp = fast_stats_[core];
-
-  // Memo full fast path — same condition, counters and latency as Access().
-  if (fast_path_enabled_ && memo.line == first_line && memo.page == first_page &&
-      (!is_write || memo.writable)) {
-    if (is_write) {
-      ++st.stores;
-    } else {
-      ++st.loads;
-    }
-    ++fp.accesses;
-    ++fp.line_hits;
-    ++st.l1_hits;
-    out->latency = is_write ? params_.store_hit_latency : params_.l1_latency;
-    return true;
-  }
-
-  // Feasibility probes, all read-only. The page step is local iff it cannot
-  // fault (present_pages_ is shared, so a first touch must go through the
-  // coordinator); the line step is local iff it stays inside this core's L1
-  // with no coherence transition: an MRU-promoting load hit, or a store hit
-  // on a line the directory already records this core as owning. Everything
-  // else (fills, invalidations, upgrades, dirty forwards, directory writes)
-  // touches another core's hierarchy or shared tables — fail without any
-  // side effect and let the caller trap to the serial path.
-  const bool page_memo_hit = fast_path_enabled_ && first_page == memo.page;
-  if (!page_memo_hit && params_.model_page_faults && !InPretouched(first_page) &&
-      !present_pages_.Contains(first_page)) {
-    return false;
-  }
-  if (!l1s_[core]->Probe(first_line)) {
-    return false;
-  }
-  // Absent directory entry is equivalent to a default one (no sharers, no
-  // owner); Find() instead of operator[] keeps the probe mutation-free.
-  const DirEntry* dir = directory_.Find(first_line);
-  const int32_t owner = dir != nullptr ? dir->owner : kNoOwner;
-  if (is_write && owner != static_cast<int32_t>(core)) {
-    return false;
-  }
-
-  // Commit: replay exactly what Access() does on these paths.
-  if (is_write) {
-    ++st.stores;
-  } else {
-    ++st.loads;
-  }
-  ++fp.accesses;
-  uint64_t latency = 0;
-  if (page_memo_hit) {
-    ++fp.page_hits;
-  } else {
-    const bool use_tlb = !is_write || !params_.ptlsim_store_tlb_quirk;
-    if (use_tlb) {
-      latency += tlbs_[core]->Translate(first_page << asfcommon::kPageShift);
-      memo.page = first_page;
-    }
-  }
-  memo.line = first_line;
-  bool in_l1 = l1s_[core]->Touch(first_line);  // Probe() above guarantees a hit.
-  ASF_CHECK(in_l1);
-  ++st.l1_hits;
-  if (is_write) {
-    memo.writable = true;
-    latency += params_.store_hit_latency;
-  } else {
-    memo.writable = owner == static_cast<int32_t>(core);
-    latency += params_.l1_latency;
-  }
-  out->latency = latency;
-  return true;
-}
-
 uint64_t MemorySystem::AccessLine(uint32_t core, uint64_t line, bool is_write) {
   MemStats& st = stats_[core];
   DirEntry& dir = directory_[line];

@@ -113,18 +113,6 @@ class MemorySystem {
   // `size` may span a line boundary; both lines are charged.
   MemResult Access(uint32_t core, uint64_t addr, uint32_t size, bool is_write);
 
-  // Core-local attempt at the same access: succeeds only when the access is
-  // single-line, single-page, provably free of cross-core state transitions
-  // (no fill, no invalidation, no directory mutation, no page fault) and
-  // charges exactly what Access() would — in which case it performs the
-  // identical stats/memo updates and returns true. Any other access returns
-  // false WITHOUT side effects. Host-parallel window execution
-  // (src/sim/scheduler.h) calls this from pool workers, where only
-  // core-confined state may move; the caller traps the window back to the
-  // coordinator on failure, which then replays via Access().
-  bool TryAccessCoreLocal(uint32_t core, uint64_t addr, uint32_t size, bool is_write,
-                          MemResult* out);
-
   // Marks pages [addr, addr+bytes) as present without charging anything
   // (benchmark setup data).
   void PretouchPages(uint64_t addr, uint64_t bytes);
@@ -136,8 +124,7 @@ class MemorySystem {
   MemStats TotalStats() const;
   void ResetStats();
 
-  // Summed over cores: the counters are sharded per core so concurrently
-  // executing windows (each pinned to one core) never share a cache line.
+  // Summed over cores (the counters are kept per core).
   MemFastPathStats fast_path_stats() const;
   bool fast_path_enabled() const { return fast_path_enabled_; }
 

@@ -99,28 +99,6 @@ class AccessHandler {
   // thread's abortable scope; STM attempts survive interrupts and return
   // false.
   virtual bool OnInterrupt(SimThread& thread) { return false; }
-
-  // --- Host-parallel window execution hooks (src/sim/scheduler.h) ---------
-  // Whether `core_id`'s thread may be admitted into a concurrently executed
-  // slack window right now. A handler that returns true promises that as
-  // long as the window only performs accesses TryParallelAccess() accepts,
-  // no shared handler state is read or written. Handlers that never support
-  // concurrent execution keep the default; the scheduler then falls back to
-  // serial windows (correct, just not parallel).
-  virtual bool AdmitParallelWindow(uint32_t core_id) { return false; }
-
-  // Attempts to process one access entirely with core-confined state, called
-  // from a pool worker (NOT the coordinating thread). On success fills `out`
-  // with exactly what OnAccess() would have produced and returns true. On
-  // failure returns false with ZERO side effects — the scheduler then traps
-  // the window and the coordinator replays the identical access through
-  // OnAccess(). Implementations may only touch per-core state plus read-only
-  // probes of shared tables that the coordinator provably does not mutate
-  // while worker windows run.
-  virtual bool TryParallelAccess(SimThread& thread, AccessKind kind, uint64_t addr,
-                                 uint32_t size, AccessOutcome* out) {
-    return false;
-  }
 };
 
 // Tunable core parameters.
@@ -184,9 +162,6 @@ class Core {
 
   // Optional host-side span observer (zero simulated cost; null = disabled).
   void SetSpanSink(CycleSpanSink* sink) { span_sink_ = sink; }
-  // A span sink makes AdvanceTo call out to shared host state, so the
-  // parallel window executor stays serial while one is attached.
-  bool has_span_sink() const { return span_sink_ != nullptr; }
 
   // Monotone id of the most recently opened attempt-accounting buffer (never
   // reset, so ids stay unique across a measurement-barrier stats reset).
@@ -214,11 +189,6 @@ class Core {
   // Returns true if a timer interrupt fires at or before `cycle`; charges
   // the service cost. The caller (scheduler) aborts any active region.
   bool CheckTimer(uint64_t cycle);
-  // Pure peek: would CheckTimer(cycle) fire? Used by parallel window workers
-  // to trap timer delivery back to the coordinator without mutating state.
-  bool TimerWouldFire(uint64_t cycle) const {
-    return params_.timer_enabled && cycle >= next_timer_;
-  }
 
   void ResetStats();
 

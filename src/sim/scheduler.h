@@ -27,16 +27,13 @@
 #include <coroutine>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
 
 #include "src/common/abort_cause.h"
 #include "src/common/defs.h"
-#include "src/common/flat_table.h"
 #include "src/sim/core.h"
-#include "src/sim/slack.h"
 #include "src/sim/task.h"
 #include "src/sim/trace.h"
 
@@ -44,7 +41,6 @@ namespace asfsim {
 
 class Scheduler;
 class SimThread;
-class SlackWorkerPool;
 
 // One pending wake-up. `seq` is the global schedule order and breaks cycle
 // ties, so (cycle, seq) is a strict total order over all events ever queued —
@@ -171,9 +167,6 @@ class SimThread {
     kIdle,       // Resume point is a coroutine to resume.
     kFlushWork,  // Pending work is being charged; an access awaits processing.
     kBlocked,    // Parked on a SimMutex/SimBarrier; no pending event.
-    kSyncOp,     // A sync operation deferred from a parallel window: at the
-                 // next wake the coordinator runs sync_fn_ (the acquire/
-                 // arrive logic the worker could not execute safely).
   };
 
   Core& core() { return *core_; }
@@ -304,21 +297,6 @@ class SimThread {
   };
   SelfAbortAwaiter AbortSelf(asfcommon::AbortCause cause) { return SelfAbortAwaiter{*this, cause}; }
 
-  // Barrier between worker-window execution and coordinator-only code: a
-  // no-op (not even a suspension) on the coordinating host thread, but
-  // inside a concurrently executed slack window it parks the thread and
-  // tears the window, so the code after the fence always runs on the
-  // coordinator. The TM runtimes await this before calling into contention
-  // policies whose state is shared across simulated threads
-  // (ContentionPolicy::ParallelSafe() == false).
-  struct HostFenceAwaiter {
-    SimThread& t;
-    bool await_ready() const noexcept { return !t.in_worker_window_; }
-    void await_suspend(std::coroutine_handle<> h) noexcept;
-    void await_resume() const noexcept {}
-  };
-  HostFenceAwaiter HostFence() { return HostFenceAwaiter{*this}; }
-
   // Runs `body` in an abortable scope; resumes with kNone on normal
   // completion or with the abort cause after an abort unwind.
   AbortScope RunAbortable(Task<void> body) { return AbortScope(*this, std::move(body)); }
@@ -347,7 +325,6 @@ class SimThread {
   bool abort_requested_ = false;
   asfcommon::AbortCause abort_cause_ = asfcommon::AbortCause::kNone;
   AbortScope* scope_ = nullptr;
-  uint64_t wake_seq_ = 0;
   // One memory operation, as queued while work cycles flush.
   struct PendingOp {
     AccessKind kind = AccessKind::kLoad;
@@ -368,27 +345,6 @@ class SimThread {
   PendingOp pending_;
   uint64_t rmw_result_ = 0;
   uint64_t load_result_ = 0;
-  // --- Host-parallel window execution (see Scheduler::RunSlackParallel) ----
-  // True while this thread's coroutine frames run on a pool worker. Checked
-  // by every path that would otherwise touch coordinator-only or cross-
-  // thread state (ScheduleWake, TryConsumeSlot, ProcessAccess, the sync
-  // primitives' awaiters).
-  bool in_worker_window_ = false;
-  // Set when a worker window traps on this thread's access: the re-parked
-  // flush-work wake must replay on the coordinator (re-admitting it would
-  // re-trap the same op forever — a host livelock). Admission refuses the
-  // thread until the coordinator processes an access for it.
-  bool exec_trap_replay_ = false;
-  // Count of sync objects (SimMutex) this thread currently owns. A thread
-  // holding one is never admitted into a parallel window: releasing it would
-  // wake another thread from worker context.
-  uint32_t sync_held_ = 0;
-  // Deferred sync operation (phase kSyncOp): at the thread's next wake the
-  // coordinator calls sync_fn_(thread, sync_obj_); a true return resumes the
-  // thread (it acquired / was released / fence passed), false leaves it
-  // parked (the callback has re-registered it, e.g. on a mutex wait list).
-  bool (*sync_fn_)(SimThread&, void*) = nullptr;
-  void* sync_obj_ = nullptr;
 };
 
 // The scheduler: owns cores and threads, runs the event loop.
@@ -452,94 +408,6 @@ class Scheduler {
   // detach (fast paths stay off for this scheduler's lifetime).
   void SetChooser(ScheduleChooser* chooser);
 
-  // --- Bounded-slack quantum execution (src/sim/slack.h) -------------------
-  //
-  // Enables quantum windows of `cycles` simulated cycles: the thread owning
-  // the global-minimum event may consume its own subsequent wakes at the
-  // suspension point for as long as they provably precede every other
-  // thread's next event (horizon cached at window open; the QuantumJournal
-  // demotes a window whose horizon may have gone stale). Must be set before
-  // any thread is spawned and is mutually exclusive with chooser mode.
-  // 0 (the default) keeps the exact single-event loop. Results are
-  // bit-identical for every value — enforced by perf_selfcheck
-  // --slack-check and tests/slack_equivalence_test.cc.
-  void SetSlackCycles(uint64_t cycles);
-  uint64_t slack_cycles() const { return slack_cycles_; }
-  const SlackStats& slack_stats() const { return slack_stats_; }
-
-  // Host-parallel slack planning (src/sim/slack_pool.h): partitions the
-  // simulated threads across `jobs` host workers (tid % jobs) that snapshot
-  // their partitions' pending events into sorted plans at fork/join epochs;
-  // the window loop then resolves the dispatch minimum and the cross-thread
-  // horizon by merging the partition heads with a dirty-thread overlay.
-  // The merged values equal the serial scans' values exactly, so results
-  // stay bit-identical for every `jobs` — enforced by perf_selfcheck
-  // --slack-par-check and tests/slack_parallel_test.cc. Must be set before
-  // any thread is spawned; 0/1 keep the serial slack engine (no pool, no
-  // host threads); a no-op unless slack_cycles is also set. Composes with
-  // the sweep engine's per-(config,seed) --jobs: that fans out machines,
-  // this parallelizes planning inside one machine.
-  void SetSlackJobs(uint32_t jobs);
-  uint32_t slack_jobs() const { return slack_jobs_; }
-
-  // Host-parallel window EXECUTION (the third act of the slack arc): when
-  // `jobs` > 1, the window loop forms fork/join epochs of co-runnable
-  // windows — threads whose next wake chains lie below the global horizon
-  // and whose predicted access footprints are pairwise disjoint (writes
-  // versus everything; read-read sharing is allowed) — and resumes their
-  // coroutine frames concurrently on a worker pool. Workers may only
-  // perform accesses the machine model proves core-confined
-  // (AccessHandler::TryParallelAccess); anything unproven — a footprint
-  // first-touch outside the license, a timer boundary, a sync primitive, an
-  // abort — traps the window back to the coordinator, which replays the
-  // event through the exact serial path. A cross-window wave protocol
-  // orders commits by cycle, and the epoch commit re-assigns event
-  // sequence numbers in replay order, so results (digests, latency
-  // histograms, heatmaps) are bit-identical to exec-jobs 1 and to
-  // --slack 0 — enforced by perf_selfcheck --slack-exec-check and
-  // tests/slack_exec_test.cc. Must be set before any thread is spawned; a
-  // no-op unless slack_cycles is set; ignored (serial fallback) while a
-  // tracer or span sink is attached or in chooser mode. Engaging the
-  // parallel executor selects the serial scan planner — sharded planning
-  // (SetSlackJobs) applies only when exec jobs <= 1.
-  void SetSlackExecJobs(uint32_t jobs);
-  uint32_t slack_exec_jobs() const { return slack_exec_jobs_; }
-
-  // True while `tid`'s coroutine frames are executing on a pool worker
-  // (between epoch formation and epoch commit).
-  bool InWorkerWindow(uint32_t tid) const {
-    return !exec_window_of_.empty() && exec_window_of_[tid] != nullptr;
-  }
-
-  // Defers a host-side observer effect (e.g. a TxEvent emission) from
-  // worker-window context to the epoch commit, where it runs on the
-  // coordinator in exact (cycle, seq) replay order. Call only when
-  // InWorkerWindow(tid).
-  void DeferWindowEffect(uint32_t tid, std::function<void()> fn);
-
-  // Parks `t` (running on a pool worker) on a deferred sync operation and
-  // ends its window: the coordinator will run `fn(t, obj)` at the parked
-  // cycle and resume the thread iff it returns true. Used by the sync
-  // primitives' awaiters and SimThread::HostFence; see Phase::kSyncOp.
-  void WorkerParkSync(SimThread& t, std::coroutine_handle<> h,
-                      bool (*fn)(SimThread&, void*), void* obj);
-
-  // Machine-model notifications feeding the per-quantum journal (no-ops in
-  // exact mode). `core` is the issuing/victim core of the event.
-  void NoteSpeculativeWrite(uint32_t core, uint64_t first_line, uint64_t last_line) {
-    if (window_owner_ == nullptr || window_owner_->id() != core) {
-      return;
-    }
-    for (uint64_t line = first_line; line <= last_line; ++line) {
-      journal_.RecordDirtyLine(line);
-    }
-  }
-  void NoteCrossCoreAbort(uint32_t victim_core) {
-    if (window_owner_ != nullptr && window_owner_->id() != victim_core) {
-      journal_.MarkConflict();
-    }
-  }
-
  private:
   friend class SimThread;
 
@@ -561,12 +429,6 @@ class Scheduler {
   // to Run() (which resets the counter), bounding host stack depth in any
   // build while keeping >95% of eligible wakes inline.
   bool TryConsumeSlot(SimThread& t) {
-    if (t.in_worker_window_) {
-      return TryConsumeWorker(t);
-    }
-    if (slack_cycles_ != 0) {
-      return TryConsumeSlackBatch(t);
-    }
     if (!has_next_ || next_.thread != &t || t.abort_requested_ ||
         inline_chain_ >= kMaxInlineChain) {
       return false;
@@ -578,98 +440,9 @@ class Scheduler {
     return true;
   }
 
-  // Slack-mode analog of the slot consumption above: the window owner may
-  // consume its own just-scheduled wake without returning to the loop iff
-  // the wake provably precedes every other thread's next event. The
-  // comparison is against the horizon CACHED at window open — sound only
-  // while the quantum journal is clean (see src/sim/slack.h): a cross-
-  // thread wake scheduled by the owner mid-window may precede the cached
-  // horizon, so a torn (or conflict-demoted) window stops batching and the
-  // remaining events replay through the exact interleaved path in Run().
-  bool TryConsumeSlackBatch(SimThread& t) {
-    if (window_owner_ != &t || t.abort_requested_ || journal_.demoted() ||
-        inline_chain_ >= kMaxInlineChain) {
-      return false;
-    }
-    SlackSlot& slot = slack_pending_[t.id()];
-    if (!slot.valid || slot.ev.cycle >= window_end_ ||
-        (window_other_valid_ && !EventBefore(slot.ev, window_other_min_))) {
-      return false;
-    }
-    slot.valid = false;
-    MarkSlackDirty(t.id());
-    ++inline_chain_;
-    ++slack_stats_.batched_events;
-    t.core_->AdvanceTo(slot.ev.cycle);
-    return true;
-  }
-
-  // Sharded slack mode: records that thread `tid`'s pending slot mutated
-  // since the last plan epoch, so its snapshot entries are dead and its live
-  // slot is authoritative (the dirty overlay). Invariant: at any time,
-  // {non-dirty threads' snapshot entries} ∪ {dirty threads' live slots}
-  // is exactly the live pending-event table — which is why the merged
-  // minimum below equals the serial scan's minimum, event for event.
-  void MarkSlackDirty(uint32_t tid) {
-    if (slack_sharded_ && !slack_dirty_[tid]) {
-      slack_dirty_[tid] = 1;
-      ++slack_dirty_count_;
-    }
-  }
-
   void ProcessAccess(SimThread& t, const SimThread::PendingOp& op);
   void DoControlAbort(SimThread& t);
   void ResumeThread(SimThread& t);
-  void RunSlack();
-  void RunSlackScan();
-  void RunSlackSharded();
-  // One serial window: the factored body of a RunSlackScan iteration —
-  // consumes slack_pending_[best], opens the quantum window, dispatches the
-  // event, folds the journal. Shared by RunSlackScan and the parallel
-  // executor's serial-fallback path.
-  void RunSerialWindow(size_t best);
-  // --- Host-parallel window execution (RunSlackParallel) -------------------
-  void RunSlackParallel();
-  // Tries to form and run one fork/join epoch of >= 2 co-runnable windows
-  // around the global-minimum event slack_pending_[best]. Returns false
-  // (without consuming anything) if no epoch forms; the caller then runs a
-  // serial window.
-  bool TryRunEpoch(size_t best);
-  struct ExecWindow;
-  // Worker-side body of one window: consumes the thread's own wake chain
-  // below the epoch horizon, subject to the wave protocol and the footprint
-  // license, until the window ends (clean, trapped, synced, or parked).
-  void RunWindow(ExecWindow& w);
-  // Worker-side analog of TryConsumeSlot: consume this thread's parked wake
-  // inside its window. Announces the wave low-water mark and orders the
-  // consume against every co-window before committing to it.
-  bool TryConsumeWorker(SimThread& t);
-  // Worker-side analog of ProcessAccess; returns false (with ZERO simulated
-  // side effects) when the access cannot be proven core-confined, in which
-  // case the caller traps the window.
-  bool WorkerProcessAccess(SimThread& t, const SimThread::PendingOp& op);
-  // Blocks until consuming an event at `cycle` in window `w` is ordered
-  // after every co-window's activity below `cycle`; returns false if the
-  // window must park instead (co-window ended at or below `cycle`, or the
-  // bounded spin expired on a cycle tie).
-  bool WaveWait(ExecWindow& w, uint64_t cycle);
-  // Coordinator-side epoch commit: merges every window's committed steps in
-  // (cycle, seq) order, re-assigning event sequence numbers exactly as the
-  // serial loop would have, flushes deferred observer effects in that order,
-  // re-parks final pending events, and folds per-window telemetry.
-  void CommitEpoch();
-  void EndWindow(ExecWindow& w, uint32_t status, uint64_t end_cycle);
-  void RotateFootprint(uint32_t tid);
-  void TrackFootprint(SimThread& t, const SimThread::PendingOp& op);
-  // Rebuilds every partition's sorted snapshot on the worker pool (fork/join)
-  // and clears the dirty overlay; adapts the replan interval to how much
-  // batching the previous plan bought.
-  void ReplanShards();
-  // Minimum pending event via snapshot-head merge + dirty overlay, excluding
-  // thread `exclude` (kNoExclude for none). When `owner_partition_only` is
-  // set (the ASF_SLACK_NO_BARRIER mutation), only `exclude`'s own partition
-  // is consulted — a deliberate soundness hole. Returns false if empty.
-  bool ShardedMinPending(uint32_t exclude, bool owner_partition_only, SchedEvent* out);
 
   AccessHandler* handler_ = nullptr;
   Tracer* tracer_ = nullptr;
@@ -694,122 +467,6 @@ class Scheduler {
   // scratch buffer for the drained pending set.
   ScheduleChooser* chooser_ = nullptr;
   std::vector<SchedEvent> eligible_;
-  // --- Bounded-slack quantum state (src/sim/slack.h) -----------------------
-  // In slack mode the heap+slot are bypassed entirely: every non-blocked,
-  // non-finished thread has at most one pending event (blocked threads have
-  // none; MarkAbort never schedules a wake), so a per-thread table replaces
-  // the priority queue and the window loop scans it (threads <= cores <= 8).
-  struct SlackSlot {
-    SchedEvent ev;
-    bool valid = false;
-  };
-  uint64_t slack_cycles_ = 0;
-  std::vector<SlackSlot> slack_pending_;
-  SimThread* window_owner_ = nullptr;   // Non-null while a window is open.
-  uint64_t window_end_ = 0;             // Exclusive end cycle of the window.
-  SchedEvent window_other_min_;         // Cached cross-thread horizon.
-  bool window_other_valid_ = false;
-  QuantumJournal journal_;
-  SlackStats slack_stats_;
-  // --- Host-parallel slack planning (src/sim/slack_pool.h) -----------------
-  // Partition p owns threads with id % jobs == p. Snapshots are rebuilt at
-  // plan epochs on the worker pool; `cursor` skips consumed/stale heads.
-  struct SlackPartition {
-    std::vector<SchedEvent> sorted;  // (cycle, seq)-ascending plan snapshot.
-    size_t cursor = 0;               // First possibly-live snapshot entry.
-    uint64_t planned = 0;            // Lifetime events planned (occupancy).
-  };
-  static constexpr uint32_t kNoExclude = UINT32_MAX;
-  uint32_t slack_jobs_ = 1;
-  bool slack_sharded_ = false;      // True while RunSlackSharded drives.
-  const bool slack_barrier_disabled_;  // ASF_SLACK_NO_BARRIER mutation hook.
-  std::unique_ptr<SlackWorkerPool> slack_pool_;
-  std::vector<SlackPartition> slack_parts_;
-  std::vector<uint8_t> slack_dirty_;   // Per-thread: slot mutated since plan.
-  size_t slack_dirty_count_ = 0;
-  uint64_t windows_since_plan_ = 0;
-  uint64_t replan_interval_ = 1;       // Geometric backoff, doubled per plan
-                                       // epoch up to a cap (see
-                                       // ReplanShards); deterministic.
-  // --- Host-parallel window execution (RunSlackParallel) -------------------
-  // One committed worker-side event: the (cycle, yield) pair of a consumed
-  // wake. Sequence numbers are re-assigned at epoch commit, in replay
-  // order, exactly as the serial loop would have assigned them.
-  struct ExecStep {
-    uint64_t cycle;
-    bool yield;
-  };
-  struct DeferredFx {
-    size_t step;  // Index into steps: the event whose processing emitted it.
-    std::function<void()> fn;
-  };
-  static constexpr uint32_t kWinActive = 0;
-  static constexpr uint32_t kWinEndedClean = 1;    // No more activity below
-                                                   // the epoch horizon.
-  static constexpr uint32_t kWinEndedPending = 2;  // Ended with a pending
-                                                   // event at end_cycle.
-  struct ExecWindow {
-    SimThread* thread = nullptr;
-    // Wave protocol (cross-window commit ordering). low_water is the cycle
-    // this window is about to consume (announced BEFORE waiting — both
-    // fields are ordering tests over disjoint simulated state, no data
-    // flows through them, hence relaxed). status/end_cycle publish the end
-    // of the window: end_cycle is written before the status release-store
-    // and read only after an acquire load observes an ended status.
-    std::atomic<uint64_t> low_water{0};
-    std::atomic<uint32_t> status{kWinActive};
-    uint64_t end_cycle = 0;
-    bool ended = false;  // Own-worker mirror of status != kWinActive.
-    // Telemetry flags folded into SlackStats at commit.
-    bool trapped = false;
-    bool synced = false;
-    bool finished_thread = false;
-    uint32_t wave_parks = 0;
-    uint32_t inline_chain = 0;
-    // Single-slot parked wake (the worker-side ScheduleWake target; the
-    // <=1-pending-event invariant holds per thread as in serial slack
-    // mode). Seeded with the window's dispatch event at epoch formation.
-    bool pending_valid = false;
-    uint64_t pending_cycle = 0;
-    bool pending_yield = false;
-    uint64_t dispatch_seq = 0;  // Original seq of the dispatch event.
-    std::vector<ExecStep> steps;
-    std::vector<DeferredFx> deferred;
-  };
-  // Predicted access footprint of one simulated thread: the lines it
-  // touched in its previous window (prev) and since (cur), split by access
-  // direction. Admission tests pred = prev ∪ cur for pairwise disjointness;
-  // the same sets are the window's in-flight license (first-touch reads
-  // outside every co-window's predicted writes extend it; writes never
-  // extend it). Purely a predictor — an incomplete footprint costs traps,
-  // never soundness.
-  struct ThreadFootprint {
-    asfcommon::FlatSet64 prev_r, prev_w, cur_r, cur_w;
-  };
-  uint32_t slack_exec_jobs_ = 1;
-  const bool slack_exec_no_admission_;  // ASF_SLACK_EXEC_NO_ADMISSION hook.
-  const bool slack_exec_eager_;         // ASF_SLACK_EXEC_EAGER hook.
-  bool track_footprints_ = false;       // True while RunSlackParallel drives.
-  std::vector<std::unique_ptr<ExecWindow>> exec_windows_;
-  size_t exec_epoch_count_ = 0;         // Windows in the current epoch.
-  std::vector<ExecWindow*> exec_window_of_;  // Per thread; null = not in one.
-  std::vector<ThreadFootprint> exec_fp_;
-  uint64_t exec_horizon_ = 0;           // Exclusive cycle bound of the epoch.
-  // Adaptive profitability gate: a fork/join epoch on an oversubscribed (or
-  // conflict-heavy) host can cost far more than the handful of events it
-  // executes. Epochs that consume fewer than kExecProfitableEvents worker
-  // events grow an exponential backoff (serial windows between attempts);
-  // a profitable epoch resets it. Purely a host-side pacing decision —
-  // results are bit-identical for every admission schedule.
-  uint64_t exec_backoff_len_ = 0;       // Current backoff length (windows).
-  uint64_t exec_backoff_left_ = 0;      // Serial windows left before retry.
-  uint64_t exec_last_epoch_events_ = 0; // Worker events in the last epoch.
-  // Union of admitted windows' predicted-write lines (license denominator);
-  // built at admission, read-only while workers run.
-  asfcommon::FlatSet64 exec_union_w_;
-  asfcommon::FlatSet64 exec_union_r_;   // Admission scratch.
-  std::vector<size_t> exec_order_;      // Admission scratch (candidate tids).
-  std::unique_ptr<SlackWorkerPool> exec_pool_;
   // Guards against two host threads driving the same scheduler (the sweep
   // engine runs one Machine per job; sharing one is a bug). See Run().
   std::atomic<bool> host_busy_{false};

@@ -23,23 +23,13 @@ class SimMutex {
     SimMutex& mu;
     SimThread& t;
     bool await_ready() const noexcept {
-      if (t.in_worker_window_) {
-        // Worker context: the mutex is cross-thread state; defer the whole
-        // acquire to the coordinator (await_suspend parks the thread).
-        return false;
-      }
       if (mu.owner_ == nullptr) {
         mu.owner_ = &t;
-        ++t.sync_held_;
         return true;
       }
       return false;
     }
     void await_suspend(std::coroutine_handle<> h) noexcept {
-      if (t.in_worker_window_) {
-        t.scheduler().WorkerParkSync(t, h, &SimMutex::CoordinatorAcquire, &mu);
-        return;
-      }
       t.resume_point_ = h;
       t.phase_ = SimThread::Phase::kBlocked;
       mu.waiters_.push_back(&t);
@@ -57,7 +47,6 @@ class SimMutex {
   // woken at the releasing core's current cycle (or its own, if later).
   void Release(SimThread& t) {
     ASF_CHECK_MSG(owner_ == &t, "release by non-owner");
-    --t.sync_held_;
     if (waiters_.empty()) {
       owner_ = nullptr;
       return;
@@ -65,7 +54,6 @@ class SimMutex {
     SimThread* next = waiters_.front();
     waiters_.pop_front();
     owner_ = next;
-    ++next->sync_held_;
     next->phase_ = SimThread::Phase::kIdle;
     uint64_t wake = t.core().clock();
     if (next->core().clock() > wake) {
@@ -75,22 +63,6 @@ class SimMutex {
   }
 
  private:
-  // Deferred acquire for a thread parked from a parallel window (see
-  // Scheduler::WorkerParkSync): runs on the coordinator at the parked cycle.
-  // Returns true (resume now) on acquisition; otherwise joins the FIFO wait
-  // list exactly as the direct await_suspend path would have.
-  static bool CoordinatorAcquire(SimThread& t, void* obj) {
-    SimMutex& mu = *static_cast<SimMutex*>(obj);
-    if (mu.owner_ == nullptr) {
-      mu.owner_ = &t;
-      ++t.sync_held_;
-      return true;
-    }
-    t.phase_ = SimThread::Phase::kBlocked;
-    mu.waiters_.push_back(&t);
-    return false;
-  }
-
   SimThread* owner_ = nullptr;
   std::deque<SimThread*> waiters_;
 };
@@ -105,12 +77,6 @@ class SimBarrier {
     SimThread& t;
     bool await_ready() const noexcept { return b.count_ <= 1; }
     bool await_suspend(std::coroutine_handle<> h) noexcept {
-      if (t.in_worker_window_) {
-        // Worker context: arrival mutates the shared barrier state and a
-        // last arrival wakes other threads; defer it to the coordinator.
-        t.scheduler().WorkerParkSync(t, h, &SimBarrier::CoordinatorArrive, &b);
-        return true;
-      }
       if (b.arrived_ + 1 == b.count_) {
         // Last arrival: release everyone at the maximum arrival cycle.
         uint64_t wake = t.core().clock();
@@ -142,35 +108,6 @@ class SimBarrier {
 
  private:
   friend struct Awaiter;
-
-  // Deferred arrival for a thread parked from a parallel window: the exact
-  // await_suspend logic, run on the coordinator at the parked cycle. A last
-  // arrival releases everyone and returns true (resume the arriver); other
-  // arrivals join the wait list (phase kBlocked — the resume point was
-  // already captured by WorkerParkSync) and return false.
-  static bool CoordinatorArrive(SimThread& t, void* obj) {
-    SimBarrier& b = *static_cast<SimBarrier*>(obj);
-    if (b.arrived_ + 1 == b.count_) {
-      uint64_t wake = t.core().clock();
-      for (SimThread* w : b.waiters_) {
-        if (w->core().clock() > wake) {
-          wake = w->core().clock();
-        }
-      }
-      for (SimThread* w : b.waiters_) {
-        w->phase_ = SimThread::Phase::kIdle;
-        t.scheduler().ScheduleWake(*w, wake);
-      }
-      b.waiters_.clear();
-      b.arrived_ = 0;
-      t.core().AdvanceTo(wake);
-      return true;
-    }
-    ++b.arrived_;
-    t.phase_ = SimThread::Phase::kBlocked;
-    b.waiters_.push_back(&t);
-    return false;
-  }
 
   uint32_t count_;
   uint32_t arrived_ = 0;

@@ -30,9 +30,8 @@ class PerThreadState {
  public:
   PerThreadState(uint64_t seed, uint64_t stride) : seed_(seed), stride_(stride) {
     // Pre-size every realistic tid (threads <= cores <= 8 in all modeled
-    // configurations) so the accessors below never reallocate: a policy
-    // whose OnBlockStart touches only its own pre-sized slot is safe to
-    // call from concurrently executing slack windows (ParallelSafe).
+    // configurations) so the accessors below never reallocate: a reference
+    // returned by RetriesFor() stays valid across a later For() call.
     Grow(kPreSize);
   }
 
@@ -92,9 +91,6 @@ class ExpBackoffPolicy final : public ContentionPolicy {
 
   void OnBlockStart(uint32_t tid, uint32_t) override { state_.RetriesFor(tid) = 0; }
 
-  // OnBlockStart touches only `tid`'s pre-sized retry slot.
-  bool ParallelSafe() const override { return true; }
-
   PolicyDecision OnAbort(uint32_t tid, AbortCause cause, uint32_t) override {
     if (IsTransientCause(cause)) {
       return {PolicyAction::kRetryNow, 0};
@@ -124,9 +120,6 @@ class CappedRetryPolicy final : public ContentionPolicy {
 
   void OnBlockStart(uint32_t tid, uint32_t) override { state_.RetriesFor(tid) = 0; }
 
-  // OnBlockStart touches only `tid`'s pre-sized retry slot.
-  bool ParallelSafe() const override { return true; }
-
   PolicyDecision OnAbort(uint32_t tid, AbortCause cause, uint32_t) override {
     if (IsTransientCause(cause)) {
       return {PolicyAction::kRetryNow, 0};
@@ -147,7 +140,6 @@ class ImmediateSerializePolicy final : public ContentionPolicy {
  public:
   std::string name() const override { return "serialize"; }
   void OnBlockStart(uint32_t, uint32_t) override {}
-  bool ParallelSafe() const override { return true; }  // Stateless block start.
   PolicyDecision OnAbort(uint32_t, AbortCause cause, uint32_t) override {
     if (IsTransientCause(cause)) {
       return {PolicyAction::kRetryNow, 0};
@@ -160,7 +152,6 @@ class NoBackoffPolicy final : public ContentionPolicy {
  public:
   std::string name() const override { return "no-backoff"; }
   void OnBlockStart(uint32_t, uint32_t) override {}
-  bool ParallelSafe() const override { return true; }  // Stateless block start.
   PolicyDecision OnAbort(uint32_t, AbortCause, uint32_t) override {
     return {PolicyAction::kRetryNow, 0};
   }
@@ -271,11 +262,6 @@ class KarmaPolicy final : public ContentionPolicy {
   // Karma is per block: a commit ended the previous block, so the priority
   // it accumulated has been spent.
   void OnBlockStart(uint32_t tid, uint32_t) override { state_.RetriesFor(tid) = 0; }
-
-  // Karma lives in `tid`'s pre-sized retry slot; block start touches nothing
-  // shared. (Adaptive and greedy keep the default false: per-site windows /
-  // the global timestamp clock are written on block start.)
-  bool ParallelSafe() const override { return true; }
 
   PolicyDecision OnAbort(uint32_t tid, AbortCause cause, uint32_t) override {
     if (IsTransientCause(cause)) {

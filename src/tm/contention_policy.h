@@ -73,16 +73,6 @@ class ContentionPolicy {
   // match the preceding OnBlockStart.
   virtual PolicyDecision OnAbort(uint32_t tid, asfcommon::AbortCause cause,
                                  uint32_t site = 0) = 0;
-
-  // True when every method touches only per-thread state (indexed by tid),
-  // so concurrently executed slack windows (src/sim/scheduler.h,
-  // --slack-exec-jobs) may call OnBlockStart from pool workers. Policies
-  // with state shared across threads (adaptive's per-site windows, greedy's
-  // global timestamp, karma's cross-thread priorities) keep the default;
-  // the runtimes then fence to the coordinator before calling in
-  // (SimThread::HostFence). OnAbort needs no fence either way: aborts
-  // always trap windows, so it only ever runs on the coordinator.
-  virtual bool ParallelSafe() const { return false; }
 };
 
 // --- Built-in policies -------------------------------------------------------

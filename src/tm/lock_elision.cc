@@ -70,7 +70,7 @@ Task<AbortCause> ElidableLock::TryElide(SimThread& t, const Body& body, TxStats*
   uint64_t ws = 0;
   AbortCause cause = co_await t.RunAbortable(ElidedAttempt(t, body, &rs, &ws));
   if (cause == AbortCause::kNone) {
-    elided_commits_.fetch_add(1, std::memory_order_relaxed);
+    ++elided_commits_;
     if (stats != nullptr) {
       ++stats->hw_commits;
     }
@@ -78,7 +78,7 @@ Task<AbortCause> ElidableLock::TryElide(SimThread& t, const Body& body, TxStats*
                 retry, rs, ws);
     co_return cause;
   }
-  elision_aborts_.fetch_add(1, std::memory_order_relaxed);
+  ++elision_aborts_;
   if (stats != nullptr) {
     ++stats->aborts[static_cast<size_t>(cause)];
   }
@@ -92,7 +92,7 @@ Task<void> ElidableLock::RunLocked(SimThread& t, const Body& body, TxStats* stat
   co_await fallback_.Acquire(t);
   // The store aborts every concurrent elision monitoring the word.
   co_await t.Store(AccessKind::kStore, &lock_word_->word, 8, 1);
-  real_acquisitions_.fetch_add(1, std::memory_order_relaxed);
+  ++real_acquisitions_;
   if (stats != nullptr) {
     ++stats->serial_attempts;
   }
@@ -119,9 +119,6 @@ Task<void> ElidableLock::Backoff(SimThread& t, uint64_t wait, uint32_t retry, Tx
 
 Task<void> ElidableLock::CriticalSection(SimThread& t, Body body, TxStats* stats,
                                          uint32_t site) {
-  if (!policy_->ParallelSafe()) {
-    co_await t.HostFence();  // Shared policy state: block start runs on the coordinator.
-  }
   policy_->OnBlockStart(t.id(), site);
   uint32_t aborted = 0;  // Lifecycle retry ordinal within this section.
   bool take_lock = params_.always_acquire;
@@ -240,9 +237,6 @@ Task<void> ElisionTm::Atomic(SimThread& t, uint32_t site, BodyFn body) {
   PerThread& pt = *threads_[t.id()];
   ++pt.stats.tx_started;
   ElidableLock& lk = *lock_;
-  if (!lk.policy().ParallelSafe()) {
-    co_await t.HostFence();  // Shared policy state: block start runs on the coordinator.
-  }
   lk.policy().OnBlockStart(t.id(), site);
   ElidableLock::Body section = [&](bool elided) -> Task<void> {
     CategoryGuard g(t.core(), CycleCategory::kTxAppCode);

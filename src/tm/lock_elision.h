@@ -22,7 +22,6 @@
 #ifndef SRC_TM_LOCK_ELISION_H_
 #define SRC_TM_LOCK_ELISION_H_
 
-#include <atomic>
 #include <functional>
 #include <memory>
 #include <string>
@@ -87,11 +86,9 @@ class ElidableLock {
   bool always_acquire() const { return params_.always_acquire; }
 
   // Statistics.
-  uint64_t elided_commits() const { return elided_commits_.load(std::memory_order_relaxed); }
-  uint64_t real_acquisitions() const {
-    return real_acquisitions_.load(std::memory_order_relaxed);
-  }
-  uint64_t elision_aborts() const { return elision_aborts_.load(std::memory_order_relaxed); }
+  uint64_t elided_commits() const { return elided_commits_; }
+  uint64_t real_acquisitions() const { return real_acquisitions_; }
+  uint64_t elision_aborts() const { return elision_aborts_; }
 
  private:
   struct alignas(asfcommon::kCacheLineBytes) LockWord {
@@ -108,11 +105,9 @@ class ElidableLock {
   std::shared_ptr<ContentionPolicy> policy_;
   LockWord* lock_word_;        // Arena-allocated; monitored by elisions.
   asfsim::SimMutex fallback_;  // Queue discipline for real acquisitions.
-  // Relaxed atomics: under --slack-exec-jobs, footprint-disjoint windows run
-  // these host-side tallies concurrently; the totals are order-independent.
-  std::atomic<uint64_t> elided_commits_{0};
-  std::atomic<uint64_t> real_acquisitions_{0};
-  std::atomic<uint64_t> elision_aborts_{0};
+  uint64_t elided_commits_ = 0;
+  uint64_t real_acquisitions_ = 0;
+  uint64_t elision_aborts_ = 0;
 };
 
 struct ElisionTmParams {

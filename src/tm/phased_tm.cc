@@ -158,9 +158,6 @@ Task<void> PhasedTm::Atomic(SimThread& t, uint32_t site, BodyFn body) {
   PerThread& pt = *threads_[t.id()];
   Core& core = t.core();
   ++pt.stats.tx_started;
-  if (!policy_->ParallelSafe()) {
-    co_await t.HostFence();  // Shared policy state: block start runs on the coordinator.
-  }
   policy_->OnBlockStart(t.id(), site);
   uint32_t aborted_attempts = 0;  // Lifecycle retry ordinal for this block.
   for (;;) {

@@ -272,9 +272,6 @@ Task<void> TinyStm::Atomic(SimThread& t, uint32_t site, BodyFn body) {
   PerThread& pt = *threads_[t.id()];
   Core& core = t.core();
   ++pt.stats.tx_started;
-  if (!policy_->ParallelSafe()) {
-    co_await t.HostFence();  // Shared policy state: block start runs on the coordinator.
-  }
   policy_->OnBlockStart(t.id(), site);
   for (uint32_t retry = 0;; ++retry) {
     ++pt.stats.stm_attempts;

@@ -30,10 +30,7 @@ inline void EmitTxEvent(asf::Machine& machine, asfsim::SimThread& t, asfobs::TxE
   ev.retry = retry;
   ev.arg0 = arg0;
   ev.arg1 = arg1;
-  // Routed through the machine so an emission from inside a concurrently
-  // executed slack window defers to the epoch commit (exact observer order,
-  // coordinator-only sink calls).
-  machine.EmitTx(t.id(), ev);
+  sink->OnTxEvent(ev);
 }
 
 }  // namespace asftm

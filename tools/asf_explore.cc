@@ -47,38 +47,12 @@ struct Args {
   }
 };
 
-// Order-sensitive result fingerprints for --slack-verify (same shape as
-// bench/perf_selfcheck digests: wall-clock independent).
-std::string IntsetDigest(const harness::IntsetResult& r) {
-  return std::to_string(r.committed_tx) + ":" + std::to_string(r.measure_cycles) + ":" +
-         std::to_string(r.tm.TotalAttempts()) + ":" + std::to_string(r.tm.TotalAborts());
-}
-
-std::string StampDigest(const harness::StampResult& r) {
-  return std::to_string(r.exec_cycles) + ":" + std::to_string(r.tm.TotalAttempts()) + ":" +
-         std::to_string(r.tm.TotalAborts()) + ":" + std::to_string(r.work_cycles);
-}
-
 void Usage() {
   std::printf(
       "asf_explore --workload intset|stamp [options]\n"
       "  common:  --runtime asf|stm|seq|lock|phased\n"
       "           --variant llb8|llb256|llb8-l1|llb256-l1|asf1\n"
       "           --threads N (1..8)   --seed N   --no-timer\n"
-      "           --slack N      bounded-slack quantum cycles (0 = exact event loop;\n"
-      "                          results are identical for every value)\n"
-      "           --slack-jobs N host workers planning slack windows inside the\n"
-      "                          machine (1 = serial slack engine; no-op without\n"
-      "                          --slack; results are identical for every value)\n"
-      "           --slack-exec-jobs N  host workers EXECUTING footprint-disjoint slack\n"
-      "                          windows concurrently (1 = serial execution; no-op\n"
-      "                          without --slack; results are identical for every\n"
-      "                          value)\n"
-      "           --slack-verify 1  sweep the configuration across the exact loop and\n"
-      "                          the --slack quantum (default 256) over thread counts\n"
-      "                          up to --threads, slack-jobs {1, 2, 4}, and\n"
-      "                          slack-exec-jobs {2, 4} (or the given fan-outs) and\n"
-      "                          fail on any result-digest divergence\n"
       "           --reps N       repeat the run N times with seeds seed, seed+1, ...\n"
       "                          and report per-rep plus mean results\n"
       "           --jobs N       host threads for --reps fan-out (default: all cores)\n"
@@ -264,9 +238,7 @@ int main(int argc, char** argv) {
   static const char* kKnownKeys[] = {"workload", "runtime", "variant",  "threads",  "seed",
                                      "trace",    "report",  "reps",     "jobs",     "structure",
                                      "range",    "update",  "ops",      "policy",   "schedule",
-                                     "app",      "scale",   "litmus",   "break-rw", "prune",
-                                     "slack",    "slack-verify", "slack-jobs",
-                                     "slack-exec-jobs"};
+                                     "app",      "scale",   "litmus",   "break-rw", "prune"};
   for (const auto& [key, value] : args.kv) {
     bool known = false;
     for (const char* k : kKnownKeys) {
@@ -342,36 +314,6 @@ int main(int argc, char** argv) {
   }
   std::string trace_path = args.Get("trace", "");
   std::string report_path = args.Get("report", "");
-  const uint64_t slack = args.GetInt("slack", 0);
-  const uint32_t slack_jobs = static_cast<uint32_t>(args.GetInt("slack-jobs", 1));
-  const bool slack_verify = args.GetInt("slack-verify", 0) != 0;
-  const uint32_t slack_exec_jobs = static_cast<uint32_t>(args.GetInt("slack-exec-jobs", 1));
-  if (slack_jobs == 0 || slack_jobs > 64) {
-    std::fprintf(stderr, "--slack-jobs must be in [1, 64]\n");
-    return 2;
-  }
-  if (slack_exec_jobs == 0 || slack_exec_jobs > 64) {
-    std::fprintf(stderr, "--slack-exec-jobs must be in [1, 64]\n");
-    return 2;
-  }
-  // Slack-jobs values exercised by --slack-verify: the serial engine plus
-  // the sharded backend at 2 and 4 workers by default, or exactly the
-  // requested fan-out when --slack-jobs was given.
-  std::vector<uint32_t> verify_jobs = {1, 2, 4};
-  if (args.kv.count("slack-jobs") != 0) {
-    verify_jobs = {1};
-    if (slack_jobs > 1) {
-      verify_jobs.push_back(slack_jobs);
-    }
-  }
-  // Same for the window-EXECUTION fan-out (parallel engine; slack-jobs 1).
-  std::vector<uint32_t> verify_exec_jobs = {2, 4};
-  if (args.kv.count("slack-exec-jobs") != 0) {
-    verify_exec_jobs.clear();
-    if (slack_exec_jobs > 1) {
-      verify_exec_jobs.push_back(slack_exec_jobs);
-    }
-  }
   std::string policy = args.Get("policy", "");
   std::string schedule_arg = args.Get("schedule", "");
   uint32_t jobs = static_cast<uint32_t>(args.GetInt("jobs", 0));
@@ -410,94 +352,6 @@ int main(int argc, char** argv) {
     cfg.seed = seed;
     cfg.timer_interrupts = timer;
     cfg.contention_policy = policy;
-    cfg.slack_cycles = slack;
-    cfg.slack_jobs = slack_jobs;
-    cfg.slack_exec_jobs = slack_exec_jobs;
-
-    // Slack-verify mode: the same configuration through the exact loop, the
-    // serial slack engine, the sharded (host-parallel) planning engine, and
-    // the host-parallel window-EXECUTION engine must produce identical
-    // digests — swept over thread counts up to --threads, the slack-jobs
-    // fan-outs in `verify_jobs`, and the slack-exec-jobs fan-outs in
-    // `verify_exec_jobs`. The slack_mutation_check ctest runs this under
-    // ASF_SLACK_NO_JOURNAL=1, slack_par_mutation_check under
-    // ASF_SLACK_NO_BARRIER=1, and slack_exec_mutation_check under
-    // ASF_SLACK_EXEC_NO_ADMISSION=1; each mutation must make a digest
-    // diverge here or its gate has lost its teeth.
-    if (slack_verify) {
-      if (!schedule_arg.empty() || reps > 1 || !trace_path.empty() || !report_path.empty()) {
-        std::fprintf(stderr, "--slack-verify is a single plain run; drop "
-                             "--schedule/--reps/--trace/--report\n");
-        return 2;
-      }
-      const uint64_t quantum = slack != 0 ? slack : 256;
-      std::vector<uint32_t> verify_threads;
-      for (uint32_t tc : {1u, 2u, 4u, 8u}) {
-        if (tc <= threads) {
-          verify_threads.push_back(tc);
-        }
-      }
-      if (verify_threads.empty() || verify_threads.back() != threads) {
-        verify_threads.push_back(threads);
-      }
-      std::printf("slack-verify intset %s | up to %u threads | %s | quantum %lu\n",
-                  cfg.structure.c_str(), threads, harness::RuntimeKindName(runtime), quantum);
-      uint64_t quanta = 0;
-      uint64_t batched = 0;
-      uint64_t plan_forks = 0;
-      uint64_t exec_epochs = 0;
-      uint64_t exec_windows = 0;
-      for (uint32_t tc : verify_threads) {
-        harness::IntsetConfig exact_cfg = cfg;
-        exact_cfg.threads = tc;
-        exact_cfg.slack_cycles = 0;
-        exact_cfg.slack_jobs = 1;
-        exact_cfg.slack_exec_jobs = 1;
-        const std::string da = IntsetDigest(harness::RunIntset(exact_cfg));
-        for (uint32_t sj : verify_jobs) {
-          harness::IntsetConfig slack_cfg = exact_cfg;
-          slack_cfg.slack_cycles = quantum;
-          slack_cfg.slack_jobs = sj;
-          harness::IntsetResult slacked = harness::RunIntset(slack_cfg);
-          const std::string db = IntsetDigest(slacked);
-          std::printf("  threads %u | slack-jobs %u | exact %s | slack %s\n", tc, sj,
-                      da.c_str(), db.c_str());
-          if (da != db) {
-            std::fprintf(stderr,
-                         "FAILED: slack quantum %lu (slack-jobs %u, %u threads) "
-                         "diverged from the exact loop\n",
-                         quantum, sj, tc);
-            return 1;
-          }
-          quanta += slacked.host.slack_quanta;
-          batched += slacked.host.slack_batched;
-          plan_forks += slacked.host.slack_plan_forks;
-        }
-        for (uint32_t ej : verify_exec_jobs) {
-          harness::IntsetConfig exec_cfg = exact_cfg;
-          exec_cfg.slack_cycles = quantum;
-          exec_cfg.slack_exec_jobs = ej;
-          harness::IntsetResult executed = harness::RunIntset(exec_cfg);
-          const std::string db = IntsetDigest(executed);
-          std::printf("  threads %u | slack-exec-jobs %u | exact %s | exec %s\n", tc, ej,
-                      da.c_str(), db.c_str());
-          if (da != db) {
-            std::fprintf(stderr,
-                         "FAILED: slack quantum %lu (slack-exec-jobs %u, %u threads) "
-                         "diverged from the exact loop\n",
-                         quantum, ej, tc);
-            return 1;
-          }
-          quanta += executed.host.slack_quanta;
-          exec_epochs += executed.host.slack_exec_epochs;
-          exec_windows += executed.host.slack_exec_windows;
-        }
-      }
-      std::printf("slack-verify: digests identical (%lu quanta, %lu batched events, "
-                  "%lu plan forks, %lu exec epochs, %lu worker windows)\n",
-                  quanta, batched, plan_forks, exec_epochs, exec_windows);
-      return 0;
-    }
 
     if (!schedule_arg.empty()) {
       // Fault-schedule mode: the run goes through the stress harness, which
@@ -602,60 +456,11 @@ int main(int argc, char** argv) {
     cfg.scale = static_cast<uint32_t>(args.GetInt("scale", 1));
     cfg.seed = seed;
     cfg.timer_interrupts = timer;
-    cfg.slack_cycles = slack;
-    cfg.slack_jobs = slack_jobs;
-    cfg.slack_exec_jobs = slack_exec_jobs;
     if (!schedule_arg.empty()) {
       // The STAMP driver injects exactly like the intset stress harness
       // (docs/ROBUSTNESS.md): per-access strikes, reported as kFaultInjected.
       cfg.schedule = LoadSchedule(schedule_arg);
     }
-    if (slack_verify) {
-      if (!schedule_arg.empty() || reps > 1 || !trace_path.empty() || !report_path.empty()) {
-        std::fprintf(stderr, "--slack-verify is a single plain run; drop "
-                             "--schedule/--reps/--trace/--report\n");
-        return 2;
-      }
-      const uint64_t quantum = slack != 0 ? slack : 256;
-      harness::StampConfig exact_cfg = cfg;
-      exact_cfg.slack_cycles = 0;
-      exact_cfg.slack_jobs = 1;
-      auto exact_app = harness::MakeStampApp(app_name);
-      harness::StampResult exact = harness::RunStamp(*exact_app, exact_cfg);
-      const std::string da = StampDigest(exact);
-      std::printf("slack-verify stamp %s | %u threads | %s | quantum %lu\n", app_name.c_str(),
-                  threads, harness::RuntimeKindName(runtime), quantum);
-      // STAMP apps are single-use: the parsed --slack-jobs run reuses `app`,
-      // the other fan-outs build fresh instances.
-      bool reused_app = false;
-      for (uint32_t sj : verify_jobs) {
-        harness::StampConfig slack_cfg = cfg;
-        slack_cfg.slack_cycles = quantum;
-        slack_cfg.slack_jobs = sj;
-        std::unique_ptr<stamp::StampApp> fresh;
-        stamp::StampApp* run_app = nullptr;
-        if (!reused_app) {
-          reused_app = true;
-          run_app = app.get();
-        } else {
-          fresh = harness::MakeStampApp(app_name);
-          run_app = fresh.get();
-        }
-        harness::StampResult slacked = harness::RunStamp(*run_app, slack_cfg);
-        const std::string db = StampDigest(slacked);
-        std::printf("  slack-jobs %u | exact %s | slack %s\n", sj, da.c_str(), db.c_str());
-        if (da != db) {
-          std::fprintf(stderr,
-                       "FAILED: slack quantum %lu (slack-jobs %u) diverged from the "
-                       "exact loop\n",
-                       quantum, sj);
-          return 1;
-        }
-      }
-      std::printf("slack-verify: digests identical\n");
-      return 0;
-    }
-
     if (reps > 1) {
       harness::SweepRunner sweep(jobs);
       for (uint64_t rep = 0; rep < reps; ++rep) {

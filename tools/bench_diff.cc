@@ -25,25 +25,20 @@
 //
 // Wall-clock columns ("wall s") and absolute counters are reported but never
 // gate: on shared hosts they are noisy, and a counter change always shows up
-// in a digest or rate anyway. That covers the parallel-slack planning
-// telemetry (plan forks, sharded windows, per-worker occupancy shares):
-// informational, since the fork schedule legitimately moves with the replan
-// backoff.
+// in a digest or rate anyway.
 //
 // Digest tables are the exception to all thresholds: any table whose title
-// contains "digest" (the per-configuration result digests, the slack-vs-exact
-// and slack-jobs grids) gates every cell on exact string equality — those
-// rows carry the simulator's bit-identity claim, and "close" is a failure.
-// The report headers' "slack" / "slack_jobs" / "slack_exec_jobs" modes are
-// printed when they differ between the two reports, but do not relax the
-// digest gate: quantum, planning fan-out, and execution fan-out are exactly
-// the knobs digests must be invariant to.
+// contains "digest" (e.g. the per-configuration result digests) gates every
+// cell on exact string equality — those rows carry the simulator's
+// bit-identity claim, and "close" is a failure. Header keys other than
+// "benchmark" are ignored, so reports that carry keys this version no longer
+// writes still diff.
 //
 // --json <out.json> additionally writes the whole comparison as a
 // machine-readable report: every delta line as a typed record (table, row,
-// column, old, new, pct, verdict), the per-report slack modes, the progress
-// comparisons, and a summary block with the counts and the exit verdict —
-// for CI annotation without scraping the human-readable output.
+// column, old, new, pct, verdict), the progress comparisons, and a summary
+// block with the counts and the exit verdict — for CI annotation without
+// scraping the human-readable output.
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
@@ -88,18 +83,8 @@ int VerdictRank(const std::string& v) {
   return 3;  // Unknown verdicts rank worst; json_check rejects them anyway.
 }
 
-// Slack-mode header of one report: the bounded-slack quantum, the planning
-// fan-out, and the execution fan-out the run used. Compared informationally —
-// results must be identical across all of them, so a difference explains
-// wall-clock deltas but never excuses a digest shift.
-struct SlackMode {
-  uint64_t slack = 0;
-  uint64_t slack_jobs = 1;
-  uint64_t slack_exec_jobs = 1;
-};
-
 bool LoadReport(const char* path, std::vector<Table>* out, std::string* benchmark,
-                std::vector<ProgressEntry>* progress, SlackMode* mode) {
+                std::vector<ProgressEntry>* progress) {
   std::string text;
   std::string error;
   if (!asfobs::ReadTextFile(path, &text, &error)) {
@@ -114,18 +99,6 @@ bool LoadReport(const char* path, std::vector<Table>* out, std::string* benchmar
   const asfobs::JsonValue* bench = root.Get("benchmark");
   if (bench != nullptr && bench->IsString()) {
     *benchmark = bench->AsString();
-  }
-  const asfobs::JsonValue* slack = root.Get("slack");
-  if (slack != nullptr) {
-    mode->slack = slack->AsUInt();
-  }
-  const asfobs::JsonValue* slack_jobs = root.Get("slack_jobs");
-  if (slack_jobs != nullptr) {
-    mode->slack_jobs = slack_jobs->AsUInt();
-  }
-  const asfobs::JsonValue* slack_exec_jobs = root.Get("slack_exec_jobs");
-  if (slack_exec_jobs != nullptr) {
-    mode->slack_exec_jobs = slack_exec_jobs->AsUInt();
   }
   const asfobs::JsonValue* tables = root.Get("tables");
   if (tables == nullptr || !tables->IsArray()) {
@@ -213,7 +186,7 @@ bool IsRateColumn(const std::string& header) {
 // Lower-is-better latency percentile columns (the [latency] tables) gate on
 // increases. Returns the per-quantile threshold multiplier, or 0 when the
 // column is not a latency percentile: the tail of a distribution moves on
-// fewer samples than the median, so p999 gets 3x the slack of p50.
+// fewer samples than the median, so p999 gets 3x the headroom of p50.
 double LatencyGateScale(const std::string& header) {
   if (header == "p999") {
     return 3.0;
@@ -232,8 +205,7 @@ double LatencyGateScale(const std::string& header) {
 
 // Digest tables carry the bit-identity claim: every cell — numeric-looking
 // or not — gates on exact string equality, with no threshold. Matched by
-// title so the gate covers the per-configuration digests, the slack-vs-exact
-// grid, and the slack-jobs parallel grid alike.
+// title so the gate covers every digest table a report carries.
 bool IsDigestTable(const std::string& title) {
   std::string lower = title;
   for (char& ch : lower) {
@@ -285,21 +257,13 @@ struct ProgressRecord {
   bool regression = false;
 };
 
-void WriteMode(asfobs::JsonWriter& w, const SlackMode& m) {
-  w.BeginObject();
-  w.KV("slack", m.slack);
-  w.KV("slack_jobs", m.slack_jobs);
-  w.KV("slack_exec_jobs", m.slack_exec_jobs);
-  w.EndObject();
-}
-
 // Machine-readable comparison report: every printed delta line as a typed
 // record plus the exit verdict, so CI can gate and annotate without scraping
 // the human-readable table. Schema (top-level keys validated by json_check):
-// benchmark, threshold, modes, deltas, progress, summary.
+// benchmark, threshold, deltas, progress, summary.
 bool WriteJsonReport(const std::string& path, const char* old_path, const char* new_path,
-                     const std::string& benchmark, double threshold, const SlackMode& old_mode,
-                     const SlackMode& new_mode, const std::vector<DeltaRecord>& deltas,
+                     const std::string& benchmark, double threshold,
+                     const std::vector<DeltaRecord>& deltas,
                      const std::vector<ProgressRecord>& progress, int regressions, int changes,
                      int unmatched, int exit_code) {
   std::string out;
@@ -310,13 +274,6 @@ bool WriteJsonReport(const std::string& path, const char* old_path, const char* 
   w.KV("old", old_path);
   w.KV("new", new_path);
   w.KV("threshold", threshold);
-  w.Key("modes");
-  w.BeginObject();
-  w.Key("old");
-  WriteMode(w, old_mode);
-  w.Key("new");
-  WriteMode(w, new_mode);
-  w.EndObject();
   w.Key("deltas");
   w.BeginArray();
   for (const DeltaRecord& d : deltas) {
@@ -428,10 +385,8 @@ int main(int argc, char** argv) {
   std::string new_bench;
   std::vector<ProgressEntry> old_progress;
   std::vector<ProgressEntry> new_progress;
-  SlackMode old_mode;
-  SlackMode new_mode;
-  if (!LoadReport(old_path, &old_tables, &old_bench, &old_progress, &old_mode) ||
-      !LoadReport(new_path, &new_tables, &new_bench, &new_progress, &new_mode)) {
+  if (!LoadReport(old_path, &old_tables, &old_bench, &old_progress) ||
+      !LoadReport(new_path, &new_tables, &new_bench, &new_progress)) {
     return 2;
   }
   if (old_bench != new_bench) {
@@ -439,23 +394,6 @@ int main(int argc, char** argv) {
                  old_bench.c_str(), new_bench.c_str());
     return 2;
   }
-  if (old_mode.slack != new_mode.slack || old_mode.slack_jobs != new_mode.slack_jobs ||
-      old_mode.slack_exec_jobs != new_mode.slack_exec_jobs) {
-    // Informational by design: wall-clock columns may differ for this
-    // reason, but digests must not — bit-identity across slack modes is the
-    // property the digest gate below enforces.
-    std::printf(
-        "note: slack modes differ (slack %llu jobs %llu exec %llu -> "
-        "slack %llu jobs %llu exec %llu); "
-        "wall-clock deltas expected, digest deltas still gate\n",
-        static_cast<unsigned long long>(old_mode.slack),
-        static_cast<unsigned long long>(old_mode.slack_jobs),
-        static_cast<unsigned long long>(old_mode.slack_exec_jobs),
-        static_cast<unsigned long long>(new_mode.slack),
-        static_cast<unsigned long long>(new_mode.slack_jobs),
-        static_cast<unsigned long long>(new_mode.slack_exec_jobs));
-  }
-
   int regressions = 0;
   int changes = 0;
   int unmatched = 0;
@@ -597,8 +535,8 @@ int main(int argc, char** argv) {
                 unmatched != 0 ? " (unmatched tables allowed)" : "");
   }
   if (!json_path.empty() &&
-      !WriteJsonReport(json_path, old_path, new_path, new_bench, threshold, old_mode, new_mode,
-                       deltas, progress_records, regressions, changes, unmatched, exit_code)) {
+      !WriteJsonReport(json_path, old_path, new_path, new_bench, threshold, deltas,
+                       progress_records, regressions, changes, unmatched, exit_code)) {
     return 2;
   }
   return exit_code;

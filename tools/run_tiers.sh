@@ -4,15 +4,16 @@
 #
 #   default   cmake -B build            + full ctest
 #   asan      cmake -B build-san  -DASF_SANITIZE=address + full ctest
-#   tsan      cmake -B build-tsan -DASF_SANITIZE=thread  + ctest -L slack
+#   tsan      cmake -B build-tsan -DASF_SANITIZE=thread  + ctest -L host_threads
 #
-# The TSan tier runs only the `slack` label on purpose: host-parallel
-# planning (slack_par) and execution (slack_exec) are the only subsystems
-# with real cross-thread host concurrency, and the full grid under TSan's
-# ~10x slowdown would dominate the wall clock without adding coverage. Both
-# parallel tiers fold into `-L slack`, so this one invocation covers the
-# worker pools, the wave protocol, and the fork/join epochs under the race
-# detector.
+# The TSan tier runs only the `host_threads` label on purpose: the simulator
+# itself is single-host-threaded (one Machine per host thread), so the only
+# code that runs host threads concurrently is the sweep fan-out (sweep_test),
+# the thread-local coroutine frame pool and its foreign-block adoption
+# (frame_pool_test), and perf_selfcheck's serial-vs-`--jobs` smoke run
+# (bench_smoke_perf_selfcheck), whose two passes must produce identical
+# digests. The full suite under TSan's ~10x slowdown would dominate the wall
+# clock without adding race coverage.
 #
 # Usage: tools/run_tiers.sh [--quick] [--jobs N] [tier...]
 #   --quick    skip tiers whose build directory does not exist yet
@@ -62,7 +63,7 @@ tier_cmake_args() {
 }
 tier_ctest_args() {
   case "$1" in
-    tsan) echo "-L slack" ;;
+    tsan) echo "-L host_threads" ;;
     *) echo "" ;;
   esac
 }

@@ -23,6 +23,7 @@
 // All study cells are independent simulations, so they are submitted to one
 // SweepRunner up front and formatted from the joined results (--jobs).
 #include <cstdio>
+#include <string>
 
 #include "bench/bench_util.h"
 #include "src/common/table.h"
@@ -99,7 +100,7 @@ int main(int argc, char** argv) {
     cfg.threads = 8;
     cfg.ops_per_thread = ops;
     cfg.variant = asf::AsfVariant::Llb8();
-    cfg.capacity_goes_serial = serial;
+    cfg.contention_policy = "exp-backoff:capacity-serial=" + std::to_string(serial);
     sweep.SubmitIntset(Seeded(cfg));
   }
 
@@ -110,7 +111,7 @@ int main(int argc, char** argv) {
     cfg.threads = 8;
     cfg.ops_per_thread = ops;
     cfg.variant = asf::AsfVariant::Llb256();
-    cfg.max_contention_retries = retries;
+    cfg.contention_policy = "exp-backoff:retries=" + std::to_string(retries);
     sweep.SubmitIntset(Seeded(cfg));
   }
 

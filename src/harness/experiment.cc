@@ -71,12 +71,6 @@ std::unique_ptr<asftm::TmRuntime> MakeRuntime(RuntimeKind kind, asf::Machine& m,
   switch (kind) {
     case RuntimeKind::kAsfTm: {
       asftm::AsfTmParams p;
-      if (cfg.capacity_goes_serial >= 0) {
-        p.capacity_goes_serial = cfg.capacity_goes_serial != 0;
-      }
-      if (cfg.max_contention_retries >= 0) {
-        p.max_contention_retries = static_cast<uint32_t>(cfg.max_contention_retries);
-      }
       if (cfg.barrier_instructions >= 0) {
         p.barrier_instructions = static_cast<uint32_t>(cfg.barrier_instructions);
       }
@@ -100,9 +94,6 @@ std::unique_ptr<asftm::TmRuntime> MakeRuntime(RuntimeKind kind, asf::Machine& m,
       return std::make_unique<asftm::GlobalLockTm>(m);
     case RuntimeKind::kPhasedTm: {
       asftm::PhasedTmParams p;
-      if (cfg.max_contention_retries >= 0) {
-        p.max_contention_retries = static_cast<uint32_t>(cfg.max_contention_retries);
-      }
       if (cfg.barrier_instructions >= 0) {
         p.barrier_instructions = static_cast<uint32_t>(cfg.barrier_instructions);
       }
@@ -112,9 +103,6 @@ std::unique_ptr<asftm::TmRuntime> MakeRuntime(RuntimeKind kind, asf::Machine& m,
     }
     case RuntimeKind::kLockElision: {
       asftm::ElisionTmParams p;
-      if (cfg.max_contention_retries >= 0) {
-        p.lock.max_elision_retries = static_cast<uint32_t>(cfg.max_contention_retries);
-      }
       if (cfg.barrier_instructions >= 0) {
         p.barrier_instructions = static_cast<uint32_t>(cfg.barrier_instructions);
       }

@@ -68,9 +68,6 @@ struct IntsetConfig {
   asf::AsfVariant variant = asf::AsfVariant::Llb256();
   uint64_t seed = 1;
   bool timer_interrupts = true;
-  // ASF-TM policy overrides (ablations); negative = default.
-  int capacity_goes_serial = -1;
-  int max_contention_retries = -1;
   // Extra per-barrier ABI dispatch instructions (models dynamic linking /
   // no-LTO; -1 = default inlined cost).
   int barrier_instructions = -1;
@@ -135,7 +132,7 @@ struct IntsetResult {
 };
 
 // Builds a TM runtime of the requested kind on `m` (applying the config's
-// policy overrides where the kind supports them).
+// contention policy and barrier cost where the kind supports them).
 std::unique_ptr<asftm::TmRuntime> MakeRuntime(RuntimeKind kind, asf::Machine& m,
                                               const IntsetConfig& cfg);
 

@@ -8,13 +8,14 @@
 //      serial-irrevocable mode aborts every in-flight hardware transaction.
 //   2. The body runs with LOCK MOV-annotated accesses for shared data only
 //      (selective annotation: stack and runtime-local data stay plain).
-//   3. COMMIT publishes; aborts resume after SPECULATE, which the runtime
-//      surfaces as the retry loop observing the abort cause.
-//   4. Fallback policy (paper Sec. 3.2): capacity overflows and allocator-
-//      refill aborts switch the transaction to serial-irrevocable mode, as
-//      does exceeding the contention retry budget; contention uses
-//      exponential backoff; page faults and interrupts retry in hardware
-//      (the fault has been serviced / the tick has passed).
+//   3. COMMIT publishes; aborts resume after SPECULATE, which the retry
+//      driver (tx_driver.h) surfaces as the abort cause.
+//   4. Fallback policy (paper Sec. 3.2, kAsfTmBackoff): capacity overflows
+//      switch the transaction to serial-irrevocable mode, as does exceeding
+//      the contention retry budget; contention uses exponential backoff;
+//      page faults and interrupts retry in hardware (the fault has been
+//      serviced / the tick has passed); allocator-refill aborts refill
+//      nonspeculatively and retry.
 //
 // Serial-irrevocable mode takes a global lock word that every hardware
 // transaction monitors; waiting transactions spin (with sleep) outside any
@@ -22,102 +23,53 @@
 #ifndef SRC_TM_ASF_TM_H_
 #define SRC_TM_ASF_TM_H_
 
-#include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "src/asf/machine.h"
 #include "src/sim/sync.h"
 #include "src/tm/contention_policy.h"
-#include "src/tm/tm_api.h"
-#include "src/tm/tx_allocator.h"
+#include "src/tm/tx_driver.h"
 
 namespace asftm {
 
+// ASF-TM's default contention management, the paper's Sec. 3.2 policy: the
+// ExpBackoffParams defaults (base 64 cycles, shift cap 8, 8 counted
+// retries, capacity straight to serial-irrevocable mode), seeded from
+// AsfTmParams::rng_seed.
+inline constexpr ExpBackoffParams kAsfTmBackoff{};
+
 struct AsfTmParams {
-  // Contention retries in hardware before switching to serial mode.
-  uint32_t max_contention_retries = 8;
-  // Exponential backoff: base << min(retry, cap) cycles, randomized.
-  uint64_t backoff_base_cycles = 64;
-  uint32_t backoff_shift_cap = 8;
-  // Modeled instruction counts of the runtime's software paths (the ABI
-  // glue around the raw ASF instructions; Table 1 attributes these to
-  // "Tx start/commit"). Values reflect the statically-linked, link-time-
-  // optimized configuration the paper evaluates.
-  uint32_t begin_instructions = 35;   // Checkpoint registers, save stack mark.
-  uint32_t commit_instructions = 12;  // Mode bookkeeping around COMMIT.
-  uint32_t barrier_instructions = 2;  // Per-access ABI dispatch (inlined).
-  uint32_t alloc_instructions = 12;   // Bump-allocator fast path.
-  // Whether capacity aborts go straight to serial mode (the paper's policy)
-  // or retry in hardware first (the "retry and hope" alternative it
-  // discusses; exposed for the ablation bench).
-  bool capacity_goes_serial = true;
+  // Modeled instruction counts of the runtime's software paths (HwCosts).
+  uint32_t begin_instructions = HwCosts().begin_instructions;
+  uint32_t commit_instructions = HwCosts().commit_instructions;
+  uint32_t barrier_instructions = HwCosts().barrier_instructions;
+  uint32_t alloc_instructions = HwCosts().alloc_instructions;
   uint64_t rng_seed = 0x5EED;
-  // Contention management. Null constructs the default exponential-backoff
-  // policy from the knobs above; kSerialize decisions enter
-  // serial-irrevocable mode.
+  // Contention management. Null selects kAsfTmBackoff; kSerialize decisions
+  // enter serial-irrevocable mode.
   std::shared_ptr<ContentionPolicy> policy;
 };
 
-class AsfTm : public TmRuntime {
+class AsfTm : public RetryDriver {
  public:
   AsfTm(asf::Machine& machine, const AsfTmParams& params = AsfTmParams());
   ~AsfTm() override;
 
   std::string name() const override;
-  using TmRuntime::Atomic;
-  asfsim::Task<void> Atomic(asfsim::SimThread& thread, uint32_t site, BodyFn body) override;
-  const TxStats& stats(uint32_t thread_id) const override { return threads_[thread_id]->stats; }
-  TxStats TotalStats() const override;
-  void ResetStats() override;
-
-  // Total allocator refills across threads (diagnostics).
-  uint64_t TotalRefills() const;
 
  private:
-  friend class AsfHwTx;
-  friend class AsfSerialTx;
-
-  struct SerialUndoEntry {
-    uint64_t addr;
-    uint32_t size;
-    uint64_t old_value;
-  };
-
-  struct PerThread {
-    explicit PerThread(asfcommon::SimArena* arena) : alloc(arena) {}
-    TxStats stats;
-    TxAllocator alloc;
-    uint64_t refill_bytes = 0;  // Allocation size that triggered kMallocRefill.
-    // Protected-set sizes captured just before COMMIT (the commit clears the
-    // ASF context), reported in the TxCommit lifecycle event.
-    uint64_t last_read_lines = 0;
-    uint64_t last_write_lines = 0;
-    // Undo log for serial mode: the serial token serializes all
-    // transactions, but language-level cancel (Tx::UserAbort) must still be
-    // able to roll the attempt back (GCC libitm's "serial" vs
-    // "serial-irrevocable" distinction).
-    std::vector<SerialUndoEntry> serial_undo;
-  };
-
   struct alignas(asfcommon::kCacheLineBytes) SerialLock {
     uint64_t word = 0;
   };
 
-  asfsim::Task<void> HwAttempt(asfsim::SimThread& t, PerThread& pt, const BodyFn& body);
-  asfsim::Task<void> RunSerial(asfsim::SimThread& t, PerThread& pt, const BodyFn& body,
-                               uint32_t retry);
-  asfsim::Task<void> SerialBody(asfsim::SimThread& t, PerThread& pt, const BodyFn& body);
-  // Sleeps the policy-computed wait, with stats + lifecycle events.
-  asfsim::Task<void> Backoff(asfsim::SimThread& t, PerThread& pt, uint64_t wait, uint32_t retry);
+  // Serial-irrevocable mode: takes the lock word every hardware attempt
+  // monitors and runs the block alone.
+  asfsim::Task<bool> Fallback(asfsim::SimThread& t, TxThread& pt, uint32_t site, BodyFn& body,
+                              uint32_t retry) override;
 
-  asf::Machine& machine_;
-  const AsfTmParams params_;
-  std::shared_ptr<ContentionPolicy> policy_;
   SerialLock* serial_lock_;  // Arena-allocated (deterministic address).
   asfsim::SimMutex serial_mutex_;
-  std::vector<std::unique_ptr<PerThread>> threads_;
 };
 
 }  // namespace asftm

@@ -1,20 +1,24 @@
 // Copyright (c) 2026 The asf-tm-stack Authors. All rights reserved.
 // Pluggable contention management for the TM runtimes.
 //
-// Each runtime used to hard-code its own retry/backoff/serialize loop; the
-// paper's policy (Sec. 3.2) — exponential backoff with randomization,
-// capacity and budget exhaustion falling back to serial-irrevocable mode —
-// existed in four slightly different copies. A ContentionPolicy pulls that
-// decision into one object: after every aborted attempt the runtime asks the
-// policy what to do next, and the policy answers with one of three actions.
-// The modeled backoff cycle counts are computed here and nowhere else.
+// The paper's policy (Sec. 3.2) is jittered exponential backoff, with
+// capacity overflows and an exhausted retry budget going to the fallback. A
+// ContentionPolicy makes that decision in one place: after every aborted
+// attempt the retry driver (tx_driver.h) asks the policy what to do next,
+// and the policy answers with one of three actions. The modeled backoff
+// cycle counts are computed here and nowhere else. The runtimes have no
+// backoff settings of their own: each one's default policy is a named
+// ExpBackoffParams constant (kAsfTmBackoff, kPhasedTmBackoff,
+// kTinyStmBackoff, kElisionBackoff) seeded from the runtime's rng_seed, and
+// any other behaviour is a policy passed in its params.
 //
 // Division of labor: causes that are *mechanism*, not contention management,
-// stay in the runtimes — kRestartSerial (a serializer/phase-flip raced past,
-// re-dispatch), kUserAbort (language-level cancel, no retry), kMallocRefill
-// (refill nonspeculatively, retry). Every other cause is routed here.
+// stay in the driver — kRestartSerial (a fallback raced past the gate,
+// dispatch again), kUserAbort (language-level cancel, no retry),
+// kMallocRefill (refill nonspeculatively, retry). Every other cause is
+// routed here.
 //
-// What kSerialize means is the runtime's strongest fallback: ASF-TM enters
+// What kSerialize means is the runtime's fallback: ASF-TM enters
 // serial-irrevocable mode, PhasedTM flips the system to the software phase,
 // lock elision takes the real lock. TinySTM has no fallback and treats
 // kSerialize as an immediate retry (the STM's word-granular conflict
@@ -89,7 +93,7 @@ struct ExpBackoffParams {
   // hope", counting capacity against the retry budget like contention.
   bool capacity_serializes = true;
   // Per-thread RNG seed = seed + tid * seed_stride; stride 0 shares one
-  // generator across threads (the historical lock-elision arrangement).
+  // generator across threads (kElisionBackoff).
   uint64_t seed = 0x5EED;
   uint64_t seed_stride = 0x9E37;
 };

@@ -16,20 +16,25 @@
 #define SRC_TM_PHASED_TM_H_
 
 #include <memory>
+#include <string>
 
 #include "src/tm/contention_policy.h"
 #include "src/tm/tiny_stm.h"
+#include "src/tm/tx_driver.h"
 
 namespace asftm {
 
+// PhasedTM's default contention management for the hardware phase:
+// ASF-TM's policy (kSerialize = switch to the software phase, which is what
+// capacity overflows need) on its own per-thread jitter streams, seeded from
+// PhasedTmParams::rng_seed.
+inline constexpr ExpBackoffParams kPhasedTmBackoff{.seed_stride = 0xABCD};
+
 struct PhasedTmParams {
-  uint32_t max_contention_retries = 8;
-  uint64_t backoff_base_cycles = 64;
-  uint32_t backoff_shift_cap = 8;
-  uint32_t begin_instructions = 35;
-  uint32_t commit_instructions = 12;
-  uint32_t barrier_instructions = 2;
-  uint32_t alloc_instructions = 12;
+  uint32_t begin_instructions = HwCosts().begin_instructions;
+  uint32_t commit_instructions = HwCosts().commit_instructions;
+  uint32_t barrier_instructions = HwCosts().barrier_instructions;
+  uint32_t alloc_instructions = HwCosts().alloc_instructions;
   // Software-phase commits before attempting to switch back to hardware.
   uint32_t software_quota = 16;
   uint64_t rng_seed = 0x9A5ED;
@@ -39,21 +44,20 @@ struct PhasedTmParams {
   uint32_t stm_orec_count_log2 = TinyStmParams().orec_count_log2;
   uint64_t stm_max_read_set = TinyStmParams().max_read_set;
   uint64_t stm_max_write_set = TinyStmParams().max_write_set;
-  // Contention management for the hardware phase. Null constructs the
-  // default exponential-backoff policy from the knobs above; kSerialize
-  // decisions flip the system into the software phase.
+  // Contention management for the hardware phase. Null selects
+  // kPhasedTmBackoff; kSerialize decisions flip the system into the
+  // software phase.
   std::shared_ptr<ContentionPolicy> policy;
 };
 
-class PhasedTm : public TmRuntime {
+class PhasedTm : public RetryDriver {
  public:
   PhasedTm(asf::Machine& machine, const PhasedTmParams& params = PhasedTmParams());
   ~PhasedTm() override;
 
   std::string name() const override;
-  using TmRuntime::Atomic;
-  asfsim::Task<void> Atomic(asfsim::SimThread& thread, uint32_t site, BodyFn body) override;
-  const TxStats& stats(uint32_t thread_id) const override { return threads_[thread_id]->stats; }
+  // The hardware phase's statistics plus the software phase's attempts,
+  // aborts and backoff (its commits are counted as stm_commits already).
   TxStats TotalStats() const override;
   void ResetStats() override;
 
@@ -62,8 +66,6 @@ class PhasedTm : public TmRuntime {
   uint64_t switches_to_hardware() const { return to_hardware_; }
 
  private:
-  friend class PhasedHwTx;
-
   static constexpr uint64_t kHardware = 0;
   static constexpr uint64_t kSoftware = 1;
   static constexpr uint64_t kDraining = 2;  // Software phase emptying out.
@@ -76,27 +78,19 @@ class PhasedTm : public TmRuntime {
     uint64_t software_budget = 0;  // Remaining commits before switching back.
   };
 
-  struct PerThread {
-    explicit PerThread(asfcommon::SimArena* arena) : alloc(arena) {}
-    TxStats stats;
-    TxAllocator alloc;
-    uint64_t refill_bytes = 0;
-    // Protected-set sizes captured just before COMMIT (see AsfTm::PerThread).
-    uint64_t last_read_lines = 0;
-    uint64_t last_write_lines = 0;
-  };
+  // The PhTM move: a kSerialize decision (capacity, or a spent contention
+  // budget) flips the whole system into the software phase instead of
+  // serializing, so capacity-challenged transactions retain concurrency
+  // among themselves. The block then dispatches again.
+  asfsim::Task<bool> Fallback(asfsim::SimThread& t, TxThread& pt, uint32_t site, BodyFn& body,
+                              uint32_t retry) override;
+  // The phase word is not kHardware: run the block in the software phase.
+  asfsim::Task<bool> GateClosed(asfsim::SimThread& t, TxThread& pt, uint32_t site,
+                                BodyFn& body) override;
 
-  asfsim::Task<void> HwAttempt(asfsim::SimThread& t, PerThread& pt, const BodyFn& body);
-  // Sleeps the policy-computed wait, with stats + lifecycle events.
-  asfsim::Task<void> Backoff(asfsim::SimThread& t, PerThread& pt, uint64_t wait, uint32_t retry);
-  asfsim::Task<void> SwitchToSoftware(asfsim::SimThread& t, uint32_t aborted_attempts);
-
-  asf::Machine& machine_;
-  const PhasedTmParams params_;
-  std::shared_ptr<ContentionPolicy> policy_;
+  const uint32_t software_quota_;
   PhaseState* phase_;
   std::unique_ptr<TinyStm> stm_;  // Executes software-phase transactions.
-  std::vector<std::unique_ptr<PerThread>> threads_;
   uint64_t to_software_ = 0;
   uint64_t to_hardware_ = 0;
 };

@@ -58,17 +58,15 @@ class SeqTx : public Tx {
   TxAllocator& alloc_;
 };
 
-SequentialTm::SequentialTm(asf::Machine& machine) : machine_(machine) {
-  for (uint32_t i = 0; i < machine.scheduler().num_cores(); ++i) {
-    threads_.push_back(std::make_unique<PerThread>(&machine.arena()));
-    threads_.back()->alloc.Refill(1);
-  }
+SequentialTm::SequentialTm(asf::Machine& machine) : RuntimeBase(machine) {
+  AddThreads();
+  WarmAllocators();
 }
 
 SequentialTm::~SequentialTm() = default;
 
 Task<void> SequentialTm::Atomic(SimThread& t, uint32_t /*site*/, BodyFn body) {
-  PerThread& pt = *threads_[t.id()];
+  TxThread& pt = *threads_[t.id()];
   ++pt.stats.tx_started;
   // Sequential execution is a degenerate serial-irrevocable block: one
   // attempt, no aborts, no attempt accounting (attempt = 0).
@@ -83,33 +81,17 @@ Task<void> SequentialTm::Atomic(SimThread& t, uint32_t /*site*/, BodyFn body) {
               asfcommon::AbortCause::kNone, 0, 0);
 }
 
-TxStats SequentialTm::TotalStats() const {
-  TxStats total;
-  for (const auto& pt : threads_) {
-    total.Add(pt->stats);
-  }
-  return total;
-}
-
-void SequentialTm::ResetStats() {
-  for (auto& pt : threads_) {
-    pt->stats = TxStats{};
-  }
-}
-
-GlobalLockTm::GlobalLockTm(asf::Machine& machine) : machine_(machine) {
+GlobalLockTm::GlobalLockTm(asf::Machine& machine) : RuntimeBase(machine) {
   lock_word_ = machine.arena().New<LockWord>();
-  for (uint32_t i = 0; i < machine.scheduler().num_cores(); ++i) {
-    threads_.push_back(std::make_unique<PerThread>(&machine.arena()));
-    threads_.back()->alloc.Refill(1);
-  }
+  AddThreads();
+  WarmAllocators();
   machine.mem().PretouchPages(reinterpret_cast<uint64_t>(lock_word_), sizeof(LockWord));
 }
 
 GlobalLockTm::~GlobalLockTm() = default;
 
 Task<void> GlobalLockTm::Atomic(SimThread& t, uint32_t /*site*/, BodyFn body) {
-  PerThread& pt = *threads_[t.id()];
+  TxThread& pt = *threads_[t.id()];
   ++pt.stats.tx_started;
   // Begin before the acquire so lock-wait time is part of block latency —
   // the tail a lock-based runtime actually exposes to its callers.
@@ -128,20 +110,6 @@ Task<void> GlobalLockTm::Atomic(SimThread& t, uint32_t /*site*/, BodyFn body) {
   ++pt.stats.seq_commits;
   EmitTxEvent(machine_, t, asfobs::TxEventKind::kTxCommit, asfobs::TxMode::kLock,
               asfcommon::AbortCause::kNone, 0, 0);
-}
-
-TxStats GlobalLockTm::TotalStats() const {
-  TxStats total;
-  for (const auto& pt : threads_) {
-    total.Add(pt->stats);
-  }
-  return total;
-}
-
-void GlobalLockTm::ResetStats() {
-  for (auto& pt : threads_) {
-    pt->stats = TxStats{};
-  }
 }
 
 }  // namespace asftm

@@ -10,18 +10,15 @@
 #ifndef SRC_TM_SERIAL_TM_H_
 #define SRC_TM_SERIAL_TM_H_
 
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "src/asf/machine.h"
 #include "src/sim/sync.h"
-#include "src/tm/tm_api.h"
-#include "src/tm/tx_allocator.h"
+#include "src/tm/tx_driver.h"
 
 namespace asftm {
 
-class SequentialTm : public TmRuntime {
+class SequentialTm : public RuntimeBase {
  public:
   explicit SequentialTm(asf::Machine& machine);
   ~SequentialTm() override;
@@ -29,24 +26,9 @@ class SequentialTm : public TmRuntime {
   std::string name() const override { return "Sequential"; }
   using TmRuntime::Atomic;
   asfsim::Task<void> Atomic(asfsim::SimThread& thread, uint32_t site, BodyFn body) override;
-  const TxStats& stats(uint32_t thread_id) const override { return threads_[thread_id]->stats; }
-  TxStats TotalStats() const override;
-  void ResetStats() override;
-
- private:
-  friend class SeqTx;
-
-  struct PerThread {
-    explicit PerThread(asfcommon::SimArena* arena) : alloc(arena) {}
-    TxStats stats;
-    TxAllocator alloc;
-  };
-
-  asf::Machine& machine_;
-  std::vector<std::unique_ptr<PerThread>> threads_;
 };
 
-class GlobalLockTm : public TmRuntime {
+class GlobalLockTm : public RuntimeBase {
  public:
   explicit GlobalLockTm(asf::Machine& machine);
   ~GlobalLockTm() override;
@@ -54,24 +36,14 @@ class GlobalLockTm : public TmRuntime {
   std::string name() const override { return "Global lock"; }
   using TmRuntime::Atomic;
   asfsim::Task<void> Atomic(asfsim::SimThread& thread, uint32_t site, BodyFn body) override;
-  const TxStats& stats(uint32_t thread_id) const override { return threads_[thread_id]->stats; }
-  TxStats TotalStats() const override;
-  void ResetStats() override;
 
  private:
-  struct PerThread {
-    explicit PerThread(asfcommon::SimArena* arena) : alloc(arena) {}
-    TxStats stats;
-    TxAllocator alloc;
-  };
   struct alignas(asfcommon::kCacheLineBytes) LockWord {
     uint64_t word = 0;
   };
 
-  asf::Machine& machine_;
   LockWord* lock_word_;
   asfsim::SimMutex mutex_;
-  std::vector<std::unique_ptr<PerThread>> threads_;
 };
 
 }  // namespace asftm

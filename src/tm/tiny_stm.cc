@@ -3,14 +3,11 @@
 
 #include <cstring>
 
-#include "src/tm/tx_observe.h"
-
 namespace asftm {
 
 using asfcommon::AbortCause;
 using asfsim::AccessKind;
 using asfsim::CategoryGuard;
-using asfsim::Core;
 using asfsim::CycleCategory;
 using asfsim::SimThread;
 using asfsim::Task;
@@ -125,38 +122,30 @@ class StmTx : public Tx {
 };
 
 TinyStm::TinyStm(asf::Machine& machine, const TinyStmParams& params)
-    : machine_(machine), params_(params), policy_(params.policy) {
-  if (policy_ == nullptr) {
-    ExpBackoffParams pp;
-    pp.base_cycles = params.backoff_base_cycles;
-    pp.shift_cap = params.backoff_shift_cap;
-    pp.max_retries = UINT32_MAX;  // Obstruction handled by backoff alone.
-    pp.seed = params.rng_seed;
-    pp.seed_stride = 0x517B;
-    policy_ = MakeExpBackoffPolicy(pp);
-  }
+    : RetryDriver(machine, asfobs::TxMode::kStm, params.policy, kTinyStmBackoff,
+                  params.rng_seed),
+      params_(params) {
   asfcommon::SimArena& arena = machine.arena();
   arena_base_ = arena.base();
   orec_count_ = uint64_t{1} << params.orec_count_log2;
   orecs_ = arena.NewArray<Orec>(orec_count_);
   clock_ = arena.New<GlobalClock>();
-  const uint32_t n = machine.scheduler().num_cores();
-  threads_.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    auto pt = std::make_unique<PerThread>(&arena);
-    pt->alloc.Refill(1);
-    pt->read_set = arena.NewArray<ReadEntry>(params.max_read_set);
-    pt->write_set = arena.NewArray<WriteEntry>(params.max_write_set);
-    threads_.push_back(std::move(pt));
+  AddThreads<PerThread>();
+  for (auto& thread : threads_) {
+    auto& pt = static_cast<PerThread&>(*thread);
+    pt.alloc.Refill(1);
+    pt.read_set = arena.NewArray<ReadEntry>(params.max_read_set);
+    pt.write_set = arena.NewArray<WriteEntry>(params.max_write_set);
   }
   // The STM image (orec table, clock, descriptor arrays) is resident after
   // process initialization, which the paper fast-forwards.
   machine.mem().PretouchPages(reinterpret_cast<uint64_t>(orecs_), orec_count_ * sizeof(Orec));
   machine.mem().PretouchPages(reinterpret_cast<uint64_t>(clock_), sizeof(GlobalClock));
-  for (auto& pt : threads_) {
-    machine.mem().PretouchPages(reinterpret_cast<uint64_t>(pt->read_set),
+  for (auto& thread : threads_) {
+    auto& pt = static_cast<PerThread&>(*thread);
+    machine.mem().PretouchPages(reinterpret_cast<uint64_t>(pt.read_set),
                                 params.max_read_set * sizeof(ReadEntry));
-    machine.mem().PretouchPages(reinterpret_cast<uint64_t>(pt->write_set),
+    machine.mem().PretouchPages(reinterpret_cast<uint64_t>(pt.write_set),
                                 params.max_write_set * sizeof(WriteEntry));
   }
 }
@@ -250,10 +239,10 @@ Task<void> TinyStm::Commit(SimThread& t, PerThread& pt) {
   }
 }
 
-Task<void> TinyStm::StmAttempt(SimThread& t, PerThread& pt, const BodyFn& body) {
+Task<void> TinyStm::Attempt(SimThread& t, TxThread& thread, const BodyFn& body) {
+  auto& pt = static_cast<PerThread&>(thread);
   pt.read_count = 0;
   pt.write_count = 0;
-  pt.alloc.OnAttemptStart();
   {
     CategoryGuard g(t.core(), CycleCategory::kTxStartCommit);
     t.core().WorkInstructions(params_.begin_instructions);
@@ -268,64 +257,8 @@ Task<void> TinyStm::StmAttempt(SimThread& t, PerThread& pt, const BodyFn& body) 
   co_await Commit(t, pt);
 }
 
-Task<void> TinyStm::Atomic(SimThread& t, uint32_t site, BodyFn body) {
-  PerThread& pt = *threads_[t.id()];
-  Core& core = t.core();
-  ++pt.stats.tx_started;
-  policy_->OnBlockStart(t.id(), site);
-  for (uint32_t retry = 0;; ++retry) {
-    ++pt.stats.stm_attempts;
-    core.BeginAttemptAccounting();
-    EmitTxEvent(machine_, t, asfobs::TxEventKind::kTxBegin, asfobs::TxMode::kStm,
-                AbortCause::kNone, core.attempt_seq(), retry);
-    AbortCause cause = co_await t.RunAbortable(StmAttempt(t, pt, body));
-    if (cause == AbortCause::kNone) {
-      core.CommitAttemptAccounting();
-      pt.alloc.OnCommit();
-      ++pt.stats.stm_commits;
-      // read_count/write_count survive the attempt: log entries, the STM
-      // analog of the hardware modes' protected-set line counts.
-      EmitTxEvent(machine_, t, asfobs::TxEventKind::kTxCommit, asfobs::TxMode::kStm,
-                  AbortCause::kNone, core.attempt_seq(), retry, pt.read_count, pt.write_count);
-      co_return;
-    }
-    core.AbortAttemptAccounting();
-    ++pt.stats.aborts[static_cast<size_t>(cause)];
-    pt.alloc.OnAbort();
-    EmitTxEvent(machine_, t, asfobs::TxEventKind::kTxAbort, asfobs::TxMode::kStm, cause,
-                core.attempt_seq(), retry, pt.read_count, pt.write_count);
-    if (cause == AbortCause::kUserAbort) {
-      co_return;
-    }
-    // No fallback mode exists here, so a kSerialize decision degenerates to
-    // an immediate retry; the STM's word-granular conflict detection plus
-    // backoff is its whole forward-progress story.
-    PolicyDecision d = policy_->OnAbort(t.id(), cause, site);
-    if (d.action != PolicyAction::kBackoffRetry) {
-      continue;
-    }
-    uint64_t wait = d.backoff_cycles;
-    pt.stats.backoff_cycles += wait;
-    EmitTxEvent(machine_, t, asfobs::TxEventKind::kBackoffStart, asfobs::TxMode::kStm,
-                AbortCause::kNone, 0, retry);
-    co_await t.Sleep(wait);
-    EmitTxEvent(machine_, t, asfobs::TxEventKind::kBackoffEnd, asfobs::TxMode::kStm,
-                AbortCause::kNone, 0, retry, wait);
-  }
-}
-
-TxStats TinyStm::TotalStats() const {
-  TxStats total;
-  for (const auto& pt : threads_) {
-    total.Add(pt->stats);
-  }
-  return total;
-}
-
-void TinyStm::ResetStats() {
-  for (auto& pt : threads_) {
-    pt->stats = TxStats{};
-  }
+Task<bool> TinyStm::Fallback(SimThread&, TxThread&, uint32_t, BodyFn&, uint32_t) {
+  co_return false;
 }
 
 }  // namespace asftm

@@ -27,14 +27,18 @@
 #include <memory>
 #include <string>
 #include <type_traits>
-#include <vector>
 
 #include "src/asf/machine.h"
 #include "src/tm/contention_policy.h"
-#include "src/tm/tm_api.h"
-#include "src/tm/tx_allocator.h"
+#include "src/tm/tx_driver.h"
 
 namespace asftm {
+
+// TinySTM's default contention management: jittered exponential backoff
+// (base 128 cycles, shift cap 10) that never gives up, since the STM has no
+// fallback mode. Seeded from TinyStmParams::rng_seed.
+inline constexpr ExpBackoffParams kTinyStmBackoff{
+    .base_cycles = 128, .shift_cap = 10, .max_retries = UINT32_MAX, .seed_stride = 0x517B};
 
 struct TinyStmParams {
   uint32_t orec_count_log2 = 20;  // 2^20 orecs (8 MiB), as TinySTM defaults.
@@ -54,26 +58,18 @@ struct TinyStmParams {
   uint32_t store_instructions = 55;  // Call, hash, CAS setup, undo-log append.
   uint32_t validate_instructions_per_entry = 4;
   uint32_t alloc_instructions = 12;
-  uint64_t backoff_base_cycles = 128;
-  uint32_t backoff_shift_cap = 10;
   uint64_t rng_seed = 0x7A57;
-  // Contention management. Null constructs the default exponential-backoff
-  // policy (unlimited retries) from the knobs above. The STM has no fallback
-  // mode, so kSerialize decisions retry immediately instead.
+  // Contention management. Null selects kTinyStmBackoff. The STM has no
+  // fallback mode, so kSerialize decisions retry immediately instead.
   std::shared_ptr<ContentionPolicy> policy;
 };
 
-class TinyStm : public TmRuntime {
+class TinyStm : public RetryDriver {
  public:
   TinyStm(asf::Machine& machine, const TinyStmParams& params = TinyStmParams());
   ~TinyStm() override;
 
   std::string name() const override { return "TinySTM (write-through)"; }
-  using TmRuntime::Atomic;
-  asfsim::Task<void> Atomic(asfsim::SimThread& thread, uint32_t site, BodyFn body) override;
-  const TxStats& stats(uint32_t thread_id) const override { return threads_[thread_id]->stats; }
-  TxStats TotalStats() const override;
-  void ResetStats() override;
 
  private:
   friend class StmTx;
@@ -113,16 +109,12 @@ class TinyStm : public TmRuntime {
                     std::is_trivially_default_constructible_v<WriteEntry>,
                 "SimArena::NewArray must hand out the orec table and logs unwritten");
 
-  struct PerThread {
-    TxStats stats;
-    TxAllocator alloc;
+  // TxThread::read_count/write_count are the logs' lengths.
+  struct PerThread : TxThread {
+    using TxThread::TxThread;
     uint64_t rv = 0;  // Read timestamp.
     ReadEntry* read_set = nullptr;
-    uint64_t read_count = 0;
     WriteEntry* write_set = nullptr;
-    uint64_t write_count = 0;
-
-    explicit PerThread(asfcommon::SimArena* arena) : alloc(arena) {}
   };
 
   // Hashed on the arena-relative offset, not the raw host address: the
@@ -135,7 +127,12 @@ class TinyStm : public TmRuntime {
   }
   bool OwnsOrec(const PerThread& pt, const Orec* o) const;
 
-  asfsim::Task<void> StmAttempt(asfsim::SimThread& t, PerThread& pt, const BodyFn& body);
+  asfsim::Task<void> Attempt(asfsim::SimThread& t, TxThread& pt, const BodyFn& body) override;
+  // No fallback mode exists, so a kSerialize decision degenerates to an
+  // immediate retry; the STM's word-granular conflict detection plus backoff
+  // is its whole forward-progress story.
+  asfsim::Task<bool> Fallback(asfsim::SimThread& t, TxThread& pt, uint32_t site, BodyFn& body,
+                              uint32_t retry) override;
   asfsim::Task<void> Commit(asfsim::SimThread& t, PerThread& pt);
   // Validates the read set at the current clock; extends rv on success.
   // On failure performs rollback and self-aborts (never resumes).
@@ -147,14 +144,11 @@ class TinyStm : public TmRuntime {
   asfsim::Task<void> RollbackWith(asfsim::SimThread& t, PerThread& pt,
                                   asfcommon::AbortCause cause);
 
-  asf::Machine& machine_;
   const TinyStmParams params_;
-  std::shared_ptr<ContentionPolicy> policy_;
   GlobalClock* clock_;    // Arena-allocated.
   Orec* orecs_;           // Arena-allocated table of orec_count_ entries.
   uint64_t orec_count_;
   uint64_t arena_base_;   // Orec hashing is arena-relative (see OrecFor).
-  std::vector<std::unique_ptr<PerThread>> threads_;
 };
 
 }  // namespace asftm

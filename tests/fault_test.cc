@@ -241,7 +241,7 @@ TEST(AsfTmRouting, TransientCausesRetryInHardwareWithoutBackoff) {
   // backoff, no retry budget, never serial.
   for (const char* cause : {"interrupt", "pagefault"}) {
     asftm::AsfTmParams params;
-    params.max_contention_retries = 2;
+    params.policy = asftm::MakeExpBackoffPolicy({.max_retries = 2, .seed = 0x5EED});
     asftm::TxStats s =
         RunAsfTmUnderFaults(std::string("at ") + cause + " attempt=1 every=1 max=3\n", params);
     EXPECT_EQ(s.tx_started, 1u) << cause;
@@ -255,11 +255,11 @@ TEST(AsfTmRouting, TransientCausesRetryInHardwareWithoutBackoff) {
 
 TEST(AsfTmRouting, ContentionClassCausesBackoffThenSerialize) {
   // kContention, kDisallowed and kSyscall all take the counted path: backoff
-  // and retry until max_contention_retries, then enter serial-irrevocable
+  // and retry until the policy's retry budget, then enter serial-irrevocable
   // mode (where no ASF region exists for the injector to abort).
   for (const char* cause : {"contention", "disallowed", "syscall"}) {
     asftm::AsfTmParams params;
-    params.max_contention_retries = 2;
+    params.policy = asftm::MakeExpBackoffPolicy({.max_retries = 2, .seed = 0x5EED});
     asftm::TxStats s =
         RunAsfTmUnderFaults(std::string("at ") + cause + " attempt=1 every=1\n", params);
     EXPECT_EQ(s.hw_attempts, 3u) << cause;  // Budget of 2 retries + first try.
@@ -272,7 +272,7 @@ TEST(AsfTmRouting, ContentionClassCausesBackoffThenSerialize) {
 }
 
 TEST(AsfTmRouting, CapacityGoesStraightToSerialByDefault) {
-  asftm::AsfTmParams params;  // capacity_goes_serial = true (paper policy).
+  asftm::AsfTmParams params;  // kAsfTmBackoff: capacity goes serial (paper policy).
   asftm::TxStats s = RunAsfTmUnderFaults("at capacity attempt=1 every=1\n", params);
   EXPECT_EQ(s.hw_attempts, 1u);
   EXPECT_EQ(s.Aborts(AbortCause::kCapacity), 1u);
@@ -284,8 +284,8 @@ TEST(AsfTmRouting, CapacityRetriesWhenSerializationDisabled) {
   // The "retry and hope" ablation: capacity counts against the retry budget
   // like contention.
   asftm::AsfTmParams params;
-  params.capacity_goes_serial = false;
-  params.max_contention_retries = 2;
+  params.policy = asftm::MakeExpBackoffPolicy(
+      {.max_retries = 2, .capacity_serializes = false, .seed = 0x5EED});
   asftm::TxStats s = RunAsfTmUnderFaults("at capacity attempt=1 every=1\n", params);
   EXPECT_EQ(s.hw_attempts, 3u);
   EXPECT_EQ(s.Aborts(AbortCause::kCapacity), 3u);
@@ -295,9 +295,8 @@ TEST(AsfTmRouting, CapacityRetriesWhenSerializationDisabled) {
 
 TEST(AsfTmRouting, PluggedPolicyOverridesTheDefault) {
   // An immediate-serialize policy turns the counted path into a first-abort
-  // fallback; the runtime obeys the policy, not its own knobs.
+  // fallback; the runtime obeys the plugged policy, not its default.
   asftm::AsfTmParams params;
-  params.max_contention_retries = 8;
   params.policy = asftm::MakeImmediateSerializePolicy();
   asftm::TxStats s = RunAsfTmUnderFaults("at syscall attempt=1 every=1\n", params);
   EXPECT_EQ(s.hw_attempts, 1u);

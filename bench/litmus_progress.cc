@@ -1,7 +1,8 @@
 // Copyright (c) 2026 The asf-tm-stack Authors. All rights reserved.
 // Progress under adversarial schedules (docs/ROBUSTNESS.md): races the
-// contention policies against always-winning requester adversaries and
-// reports the watchdog's per-policy progress accounting.
+// contention manager and its no-backoff control against always-winning
+// requester adversaries and reports the watchdog's per-policy progress
+// accounting.
 //
 // Two adversaries, both aimed at core 0 of an ASF-TM run so the rest of the
 // machine keeps committing (starvation needs a fed competitor, not a global
@@ -22,10 +23,9 @@
 // Expected outcomes, checked and exit-coded (the bench is a gate, not just a
 // report): `no-backoff` — retry forever, never serialize — must hit the
 // adversary's failure mode (if it does not, the adversary stopped biting and
-// the other verdicts mean nothing); `exp-backoff`, `karma`, and `greedy`
-// must keep every core committing (verdict "progress", no starved cores),
-// because each eventually claims the serial-irrevocable fallback no
-// adversary can abort. The per-cell watchdog accounting lands in the JSON
+// the other verdicts mean nothing); `exp-backoff` must keep every core
+// committing (verdict "progress", no starved cores), because it eventually
+// claims the serial-irrevocable fallback no adversary can abort. The per-cell watchdog accounting lands in the JSON
 // report's "progress" section, which tools/json_check schema-validates and
 // tools/bench_diff compares across runs ("no thread starves under bully" as
 // a regression gate).
@@ -56,8 +56,8 @@ struct Adversary {
 
 // The injection caps bound the adversary so even a stalled run terminates;
 // both verdicts trip long before the caps run out (starvation at 200 lost
-// attempts, livelock at a 100k-cycle commit gap), and the surviving
-// policies serialize out of reach after single-digit losses per block.
+// attempts, livelock at a 100k-cycle commit gap), and exp-backoff
+// serializes out of reach after single-digit losses per block.
 constexpr Adversary kAdversaries[] = {
     {"bully", "seed 11\nbully core=0 every=1 max=2000\n", Watchdog::Verdict::kLivelock},
     {"sniper", "seed 11\nat contention attempt=1 every=1 core=0 max=2000\n",
@@ -72,8 +72,6 @@ struct Contender {
 constexpr Contender kContenders[] = {
     {"no-backoff", true},
     {"exp-backoff", false},
-    {"karma", false},
-    {"greedy", false},
 };
 
 std::string JoinCores(const std::vector<uint32_t>& cores) {

@@ -52,8 +52,8 @@ void PrintUsage(const char* prog, std::FILE* out) {
                "                       adversarial-contention; default: all built-ins)\n"
                "  --runtime <r>        asf-tm | tiny-stm | phased-tm | lock-elision\n"
                "                       (default: all four)\n"
-               "  --policy <spec>      contention policy, e.g. exp-backoff:retries=4,\n"
-               "                       capped-retry, serialize, adaptive, no-backoff\n"
+               "  --policy <spec>      contention policy: exp-backoff[:base=,cap=,retries=,\n"
+               "                       capacity-serial=] or no-backoff\n"
                "  --verify-replay      run every configuration twice and require\n"
                "                       byte-identical digests\n",
                prog);

@@ -31,8 +31,8 @@ asf_add_bench(litmus_progress)
 asf_add_bench(perf_selfcheck)
 
 # Progress-race gate (docs/ROBUSTNESS.md): the smoke run already hard-fails
-# unless no-backoff starves and exp-backoff/karma/greedy keep every core
-# committing; label it into `ctest -L litmus` alongside the semantics tests.
+# unless no-backoff starves and exp-backoff keeps every core committing;
+# label it into `ctest -L litmus` alongside the semantics tests.
 set_tests_properties(bench_smoke_litmus_progress bench_smoke_litmus_progress_json
                      PROPERTIES LABELS "litmus;stress")
 

@@ -1,6 +1,7 @@
 // Copyright (c) 2026 The asf-tm-stack Authors. All rights reserved.
 #include "src/harness/experiment.h"
 
+#include <optional>
 #include <unordered_set>
 
 #include "src/common/random.h"
@@ -11,7 +12,6 @@
 #include "src/intset/skip_list.h"
 #include "src/sim/sync.h"
 #include "src/tm/asf_tm.h"
-#include "src/tm/contention_policy.h"
 #include "src/tm/lock_elision.h"
 #include "src/tm/phased_tm.h"
 #include "src/tm/serial_tm.h"
@@ -41,21 +41,16 @@ const char* RuntimeKindName(RuntimeKind k) {
   return "invalid";
 }
 
-namespace {
-
-// Builds the configured contention policy, or null for the runtime default.
-std::shared_ptr<asftm::ContentionPolicy> PolicyFromConfig(const IntsetConfig& cfg,
-                                                          uint64_t seed) {
-  if (cfg.contention_policy.empty()) {
-    return nullptr;
+asftm::ExpBackoffParams PolicyFromSpec(const std::string& spec,
+                                       const asftm::ExpBackoffParams& runtime_default) {
+  if (spec.empty()) {
+    return runtime_default;
   }
   std::string error;
-  auto policy = asftm::MakeContentionPolicy(cfg.contention_policy, seed, &error);
-  ASF_CHECK_MSG(policy != nullptr, error.c_str());
-  return policy;
+  std::optional<asftm::ExpBackoffParams> policy = asftm::MakeContentionPolicy(spec, &error);
+  ASF_CHECK_MSG(policy.has_value(), error.c_str());
+  return *policy;
 }
-
-}  // namespace
 
 asf::MachineParams PaperMachineParams(const asf::AsfVariant& variant, uint32_t threads,
                                       bool timer_interrupts) {
@@ -75,7 +70,7 @@ std::unique_ptr<asftm::TmRuntime> MakeRuntime(RuntimeKind kind, asf::Machine& m,
         p.barrier_instructions = static_cast<uint32_t>(cfg.barrier_instructions);
       }
       p.rng_seed = cfg.seed * 0x1234567 + 99;
-      p.policy = PolicyFromConfig(cfg, p.rng_seed);
+      p.policy = PolicyFromSpec(cfg.contention_policy, p.policy);
       return std::make_unique<asftm::AsfTm>(m, p);
     }
     case RuntimeKind::kTinyStm: {
@@ -85,7 +80,7 @@ std::unique_ptr<asftm::TmRuntime> MakeRuntime(RuntimeKind kind, asf::Machine& m,
         p.store_instructions += static_cast<uint32_t>(cfg.barrier_instructions);
       }
       p.rng_seed = cfg.seed * 0x7654321 + 7;
-      p.policy = PolicyFromConfig(cfg, p.rng_seed);
+      p.policy = PolicyFromSpec(cfg.contention_policy, p.policy);
       return std::make_unique<asftm::TinyStm>(m, p);
     }
     case RuntimeKind::kSequential:
@@ -98,7 +93,7 @@ std::unique_ptr<asftm::TmRuntime> MakeRuntime(RuntimeKind kind, asf::Machine& m,
         p.barrier_instructions = static_cast<uint32_t>(cfg.barrier_instructions);
       }
       p.rng_seed = cfg.seed * 0x33331 + 3;
-      p.policy = PolicyFromConfig(cfg, p.rng_seed);
+      p.policy = PolicyFromSpec(cfg.contention_policy, p.policy);
       return std::make_unique<asftm::PhasedTm>(m, p);
     }
     case RuntimeKind::kLockElision: {
@@ -107,7 +102,7 @@ std::unique_ptr<asftm::TmRuntime> MakeRuntime(RuntimeKind kind, asf::Machine& m,
         p.barrier_instructions = static_cast<uint32_t>(cfg.barrier_instructions);
       }
       p.lock.rng_seed = cfg.seed * 0x51515 + 5;
-      p.lock.policy = PolicyFromConfig(cfg, p.lock.rng_seed);
+      p.lock.policy = PolicyFromSpec(cfg.contention_policy, p.lock.policy);
       return std::make_unique<asftm::ElisionTm>(m, p);
     }
   }
@@ -250,15 +245,15 @@ IntsetResult RunIntsetOnParams(const IntsetConfig& cfg,
       uint64_t key = rng.NextBelow(cfg.key_range) + 1;
       uint32_t dice = static_cast<uint32_t>(rng.NextBelow(100));
       if (dice < half_upd) {
-        co_await rt->Atomic(t, kSiteInsert, [&](Tx& tx) -> Task<void> {
+        co_await rt->Atomic(t, [&](Tx& tx) -> Task<void> {
           co_await set->Insert(tx, key);
         });
       } else if (dice < cfg.update_pct) {
-        co_await rt->Atomic(t, kSiteRemove, [&](Tx& tx) -> Task<void> {
+        co_await rt->Atomic(t, [&](Tx& tx) -> Task<void> {
           co_await set->Remove(tx, key);
         });
       } else {
-        co_await rt->Atomic(t, kSiteContains, [&](Tx& tx) -> Task<void> {
+        co_await rt->Atomic(t, [&](Tx& tx) -> Task<void> {
           co_await set->Contains(tx, key);
         });
       }

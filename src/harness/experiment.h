@@ -21,6 +21,7 @@
 #include "src/obs/metrics.h"
 #include "src/obs/tx_event.h"
 #include "src/sim/trace.h"
+#include "src/tm/contention_policy.h"
 #include "src/tm/tm_api.h"
 
 namespace harness {
@@ -49,13 +50,6 @@ enum class RuntimeKind {
 
 const char* RuntimeKindName(RuntimeKind k);
 
-// Static site ids of the intset workload's atomic blocks, forwarded to
-// site-keyed contention policies via TmRuntime::Atomic. The population
-// phase stays site 0 (unattributed warm-up).
-inline constexpr uint32_t kSiteInsert = 1;
-inline constexpr uint32_t kSiteRemove = 2;
-inline constexpr uint32_t kSiteContains = 3;
-
 struct IntsetConfig {
   std::string structure = "list";  // list | list-er | skip | rb | hash.
   uint64_t key_range = 1024;
@@ -72,8 +66,8 @@ struct IntsetConfig {
   // no-LTO; -1 = default inlined cost).
   int barrier_instructions = -1;
   // Contention-policy spec for asftm::MakeContentionPolicy (e.g.
-  // "exp-backoff:retries=4", "serialize", "adaptive"); empty = the runtime's
-  // built-in default. Ignored by kSequential / kGlobalLock.
+  // "exp-backoff:retries=4", "no-backoff"); empty = the runtime's built-in
+  // default. Ignored by kSequential / kGlobalLock.
   std::string contention_policy;
   ObsHooks obs;
   // Collect per-transaction latency percentiles and the hot-line heatmap for
@@ -130,6 +124,11 @@ struct IntsetResult {
   asfobs::LatencyStats latency;    // Block-latency distribution (measured window).
   asfobs::HeatmapStats heatmap;    // Hot-line contention counts.
 };
+
+// The contention policy `spec` names (asftm::MakeContentionPolicy; a
+// malformed spec is fatal), or `runtime_default` when `spec` is empty.
+asftm::ExpBackoffParams PolicyFromSpec(const std::string& spec,
+                                       const asftm::ExpBackoffParams& runtime_default);
 
 // Builds a TM runtime of the requested kind on `m` (applying the config's
 // contention policy and barrier cost where the kind supports them).

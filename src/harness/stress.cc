@@ -5,6 +5,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "src/common/digest.h"
 #include "src/common/random.h"
 #include "src/harness/run_threads.h"
 #include "src/sim/sync.h"
@@ -15,21 +16,6 @@ using asfcommon::AbortCause;
 using asfsim::SimThread;
 using asfsim::Task;
 using asftm::Tx;
-
-namespace {
-
-uint64_t Fnv1a(const std::vector<uint64_t>& keys) {
-  uint64_t h = 0xcbf29ce484222325ull;
-  for (uint64_t k : keys) {
-    for (int b = 0; b < 8; ++b) {
-      h ^= (k >> (8 * b)) & 0xff;
-      h *= 0x100000001b3ull;
-    }
-  }
-  return h;
-}
-
-}  // namespace
 
 std::string StressResult::Digest() const {
   std::ostringstream os;
@@ -148,7 +134,7 @@ StressResult RunStress(const StressConfig& cfg) {
         // `ok` is overwritten by every retry, so it ends up holding the
         // committed attempt's outcome.
         bool ok = false;
-        co_await rt->Atomic(t, kSiteInsert, [&](Tx& tx) -> Task<void> {
+        co_await rt->Atomic(t, [&](Tx& tx) -> Task<void> {
           ok = co_await set->Insert(tx, key);
         });
         if (ok) {
@@ -156,14 +142,14 @@ StressResult RunStress(const StressConfig& cfg) {
         }
       } else if (dice < ic.update_pct) {
         bool ok = false;
-        co_await rt->Atomic(t, kSiteRemove, [&](Tx& tx) -> Task<void> {
+        co_await rt->Atomic(t, [&](Tx& tx) -> Task<void> {
           ok = co_await set->Remove(tx, key);
         });
         if (ok) {
           --net[tid][key];
         }
       } else {
-        co_await rt->Atomic(t, kSiteContains, [&](Tx& tx) -> Task<void> {
+        co_await rt->Atomic(t, [&](Tx& tx) -> Task<void> {
           co_await set->Contains(tx, key);
         });
       }
@@ -222,7 +208,10 @@ StressResult RunStress(const StressConfig& cfg) {
   // Membership conservation against the committed-op log.
   std::vector<uint64_t> snapshot = set->Snapshot();
   result.set_size = snapshot.size();
-  result.set_hash = Fnv1a(snapshot);
+  result.set_hash = asfcommon::kFnvOffset;
+  for (uint64_t key : snapshot) {
+    result.set_hash = asfcommon::FnvMix(result.set_hash, key);
+  }
   if (cfg.verify_membership) {
     std::vector<int64_t> expect(ic.key_range + 1, 0);
     for (uint64_t key : init_keys) {

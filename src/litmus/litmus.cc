@@ -6,10 +6,10 @@
 #include <sstream>
 #include <unordered_set>
 
+#include "src/common/digest.h"
 #include "src/fault/fault_injector.h"
 #include "src/harness/run_threads.h"
 #include "src/tm/asf_tm.h"
-#include "src/tm/contention_policy.h"
 #include "src/tm/lock_elision.h"
 #include "src/tm/phased_tm.h"
 #include "src/tm/serial_tm.h"
@@ -17,20 +17,11 @@
 
 namespace litmus {
 
+using asfcommon::FnvMix;
+using asfcommon::kFnvOffset;
 using harness::RuntimeKind;
 
 namespace {
-
-constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-constexpr uint64_t kFnvPrime = 0x100000001b3ull;
-
-uint64_t FnvMix(uint64_t h, uint64_t v) {
-  for (int b = 0; b < 8; ++b) {
-    h ^= (v >> (8 * b)) & 0xff;
-    h *= kFnvPrime;
-  }
-  return h;
-}
 
 // Records every decision point of one execution: the state signature, the
 // branch factor, the choice taken (forced by the prefix, 0 beyond it), and
@@ -147,19 +138,15 @@ class DfsChooser final : public asfsim::ScheduleChooser {
 
 // Litmus-sized runtime construction: same shapes as harness::MakeRuntime but
 // with a small orec table for the STM (the default 2^20 orecs would dominate
-// every per-interleaving machine) and an optional shared policy spec.
+// every per-interleaving machine) and an optional policy spec. Every
+// interleaving's runtime owns fresh policy state seeded from its rng_seed,
+// so a replayed prefix sees the backoff waits the recording run saw.
 std::unique_ptr<asftm::TmRuntime> MakeLitmusRuntime(const LitmusConfig& cfg, asf::Machine& m) {
-  std::shared_ptr<asftm::ContentionPolicy> policy;
-  if (!cfg.policy.empty()) {
-    std::string err;
-    policy = asftm::MakeContentionPolicy(cfg.policy, cfg.seed * 0x9E3779B9ull + 1, &err);
-    ASF_CHECK_MSG(policy != nullptr, err.c_str());
-  }
   switch (cfg.runtime) {
     case RuntimeKind::kAsfTm: {
       asftm::AsfTmParams p;
       p.rng_seed = cfg.seed * 0x1234567 + 99;
-      p.policy = policy;
+      p.policy = harness::PolicyFromSpec(cfg.policy, p.policy);
       return std::make_unique<asftm::AsfTm>(m, p);
     }
     case RuntimeKind::kTinyStm: {
@@ -168,7 +155,7 @@ std::unique_ptr<asftm::TmRuntime> MakeLitmusRuntime(const LitmusConfig& cfg, asf
       p.max_read_set = 1024;
       p.max_write_set = 256;
       p.rng_seed = cfg.seed * 0x7654321 + 7;
-      p.policy = policy;
+      p.policy = harness::PolicyFromSpec(cfg.policy, p.policy);
       return std::make_unique<asftm::TinyStm>(m, p);
     }
     case RuntimeKind::kSequential:
@@ -181,13 +168,13 @@ std::unique_ptr<asftm::TmRuntime> MakeLitmusRuntime(const LitmusConfig& cfg, asf
       p.stm_orec_count_log2 = 10;
       p.stm_max_read_set = 1024;
       p.stm_max_write_set = 256;
-      p.policy = policy;
+      p.policy = harness::PolicyFromSpec(cfg.policy, p.policy);
       return std::make_unique<asftm::PhasedTm>(m, p);
     }
     case RuntimeKind::kLockElision: {
       asftm::ElisionTmParams p;
       p.lock.rng_seed = cfg.seed * 0xE11DE + 5;
-      p.lock.policy = policy;
+      p.lock.policy = harness::PolicyFromSpec(cfg.policy, p.lock.policy);
       return std::make_unique<asftm::ElisionTm>(m, p);
     }
   }

@@ -23,12 +23,15 @@
 #include <string>
 #include <vector>
 
+#include "src/common/digest.h"
 #include "src/litmus/litmus.h"
 
 namespace litmus {
 namespace {
 
 using asfcommon::AbortCause;
+using asfcommon::FnvMix;
+using asfcommon::kFnvOffset;
 using asfsim::AccessKind;
 using asfsim::SimThread;
 using asfsim::Task;
@@ -41,14 +44,6 @@ using harness::RuntimeKind;
 struct alignas(asfcommon::kCacheLineBytes) Cell {
   uint64_t v = 0;
 };
-
-uint64_t Mix(uint64_t h, uint64_t v) {
-  for (int b = 0; b < 8; ++b) {
-    h ^= (v >> (8 * b)) & 0xff;
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
 
 bool StronglyIsolated(RuntimeKind k) {
   return k == RuntimeKind::kAsfTm || k == RuntimeKind::kLockElision ||
@@ -94,12 +89,12 @@ class ExecBase : public Execution {
   }
 
   uint64_t BaseHash(uint32_t cells) const {
-    uint64_t h = 0xcbf29ce484222325ull;
+    uint64_t h = kFnvOffset;
     for (uint32_t i = 0; i < cells; ++i) {
-      h = Mix(h, cells_[i].v);
+      h = FnvMix(h, cells_[i].v);
     }
     for (uint64_t pc : pc_) {
-      h = Mix(h, pc);
+      h = FnvMix(h, pc);
     }
     return h;
   }
@@ -125,12 +120,12 @@ class PublicationExec : public ExecBase {
     if (tid == 0) {
       co_await PlainStore(t, data, 1);
       Step(0);
-      co_await rt_.Atomic(t, 1, [&](Tx& tx) -> Task<void> {
+      co_await rt_.Atomic(t, [&](Tx& tx) -> Task<void> {
         co_await tx.Write<uint64_t>(&flag.v, 1);
       });
       Step(0);
     } else {
-      co_await rt_.Atomic(t, 2, [&](Tx& tx) -> Task<void> {
+      co_await rt_.Atomic(t, [&](Tx& tx) -> Task<void> {
         f_ = co_await tx.Read<uint64_t>(&flag.v);
       });
       Step(1);
@@ -141,7 +136,7 @@ class PublicationExec : public ExecBase {
     }
   }
 
-  uint64_t StateHash() const override { return Mix(Mix(BaseHash(2), f_), d_); }
+  uint64_t StateHash() const override { return FnvMix(FnvMix(BaseHash(2), f_), d_); }
 
   Outcome Read() const override {
     std::ostringstream os;
@@ -189,7 +184,7 @@ class DirtyReadExec : public ExecBase {
     Cell& x = cells_[0];
     Cell& y = cells_[1];
     if (tid == 0) {
-      co_await rt_.Atomic(t, 1, [&](Tx& tx) -> Task<void> {
+      co_await rt_.Atomic(t, [&](Tx& tx) -> Task<void> {
         co_await tx.Write<uint64_t>(&x.v, 1);
         co_await tx.Write<uint64_t>(&y.v, 1);
       });
@@ -202,7 +197,7 @@ class DirtyReadExec : public ExecBase {
     }
   }
 
-  uint64_t StateHash() const override { return Mix(Mix(BaseHash(2), r1_), r2_); }
+  uint64_t StateHash() const override { return FnvMix(FnvMix(BaseHash(2), r1_), r2_); }
 
   Outcome Read() const override {
     std::ostringstream os;
@@ -259,7 +254,7 @@ class MixedAnnotationExec : public ExecBase {
   Task<void> Body(SimThread& t, uint32_t tid) override {
     Cell& x = cells_[0];
     if (tid == 0) {
-      co_await rt_.Atomic(t, 1, [&](Tx& tx) -> Task<void> {
+      co_await rt_.Atomic(t, [&](Tx& tx) -> Task<void> {
         uint64_t r = co_await tx.Read<uint64_t>(&x.v);
         co_await tx.Write<uint64_t>(&x.v, r + 1);
       });
@@ -320,13 +315,13 @@ class WriteSkewExec : public ExecBase {
     Cell& x = cells_[0];
     Cell& y = cells_[1];
     if (tid == 0) {
-      co_await rt_.Atomic(t, 1, [&](Tx& tx) -> Task<void> {
+      co_await rt_.Atomic(t, [&](Tx& tx) -> Task<void> {
         if (co_await tx.Read<uint64_t>(&y.v) == 0) {
           co_await tx.Write<uint64_t>(&x.v, 1);
         }
       });
     } else {
-      co_await rt_.Atomic(t, 2, [&](Tx& tx) -> Task<void> {
+      co_await rt_.Atomic(t, [&](Tx& tx) -> Task<void> {
         if (co_await tx.Read<uint64_t>(&x.v) == 0) {
           co_await tx.Write<uint64_t>(&y.v, 1);
         }
@@ -385,14 +380,14 @@ class PrivatizationExec : public ExecBase {
     Cell& shared = cells_[0];
     Cell& data = cells_[1];
     if (tid == 0) {
-      co_await rt_.Atomic(t, 1, [&](Tx& tx) -> Task<void> {
+      co_await rt_.Atomic(t, [&](Tx& tx) -> Task<void> {
         co_await tx.Write<uint64_t>(&shared.v, 0);
       });
       Step(0);
       co_await PlainStore(t, data, 42);
       Step(0);
     } else {
-      co_await rt_.Atomic(t, 2, [&](Tx& tx) -> Task<void> {
+      co_await rt_.Atomic(t, [&](Tx& tx) -> Task<void> {
         if (co_await tx.Read<uint64_t>(&shared.v) == 1) {
           co_await tx.Write<uint64_t>(&data.v, 7);
         }
@@ -462,7 +457,7 @@ class SerialIrrevocableExec : public ExecBase {
 
   Task<void> Body(SimThread& t, uint32_t tid) override {
     Cell& x = cells_[0];
-    co_await rt_.Atomic(t, tid + 1, [&](Tx& tx) -> Task<void> {
+    co_await rt_.Atomic(t, [&](Tx& tx) -> Task<void> {
       uint64_t r = co_await tx.Read<uint64_t>(&x.v);
       co_await tx.Write<uint64_t>(&x.v, r + 1);
     });

@@ -16,7 +16,7 @@ using asfsim::SimThread;
 using asfsim::Task;
 
 AsfTm::AsfTm(asf::Machine& machine, const AsfTmParams& params)
-    : RetryDriver(machine, TxMode::kHardware, params.policy, kAsfTmBackoff, params.rng_seed) {
+    : RetryDriver(machine, TxMode::kHardware, params.policy, params.rng_seed) {
   costs_ = {params.begin_instructions, params.commit_instructions, params.barrier_instructions,
             params.alloc_instructions};
   serial_lock_ = machine.arena().New<SerialLock>();
@@ -33,7 +33,7 @@ std::string AsfTm::name() const {
   return "ASF-TM (" + machine_.params().variant.Name() + ")";
 }
 
-Task<bool> AsfTm::Fallback(SimThread& t, TxThread& pt, uint32_t, BodyFn& body, uint32_t retry) {
+Task<bool> AsfTm::Fallback(SimThread& t, TxThread& pt, BodyFn& body, uint32_t retry) {
   Core& core = t.core();
   EmitTxEvent(machine_, t, TxEventKind::kFallbackTransition, TxMode::kSerial, AbortCause::kNone,
               0, retry, static_cast<uint64_t>(TxMode::kHardware));

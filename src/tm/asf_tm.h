@@ -23,7 +23,6 @@
 #ifndef SRC_TM_ASF_TM_H_
 #define SRC_TM_ASF_TM_H_
 
-#include <memory>
 #include <string>
 
 #include "src/asf/machine.h"
@@ -46,9 +45,9 @@ struct AsfTmParams {
   uint32_t barrier_instructions = HwCosts().barrier_instructions;
   uint32_t alloc_instructions = HwCosts().alloc_instructions;
   uint64_t rng_seed = 0x5EED;
-  // Contention management. Null selects kAsfTmBackoff; kSerialize decisions
-  // enter serial-irrevocable mode.
-  std::shared_ptr<ContentionPolicy> policy;
+  // Contention management; kSerialize decisions enter serial-irrevocable
+  // mode.
+  ExpBackoffParams policy = kAsfTmBackoff;
 };
 
 class AsfTm : public RetryDriver {
@@ -65,7 +64,7 @@ class AsfTm : public RetryDriver {
 
   // Serial-irrevocable mode: takes the lock word every hardware attempt
   // monitors and runs the block alone.
-  asfsim::Task<bool> Fallback(asfsim::SimThread& t, TxThread& pt, uint32_t site, BodyFn& body,
+  asfsim::Task<bool> Fallback(asfsim::SimThread& t, TxThread& pt, BodyFn& body,
                               uint32_t retry) override;
 
   SerialLock* serial_lock_;  // Arena-allocated (deterministic address).

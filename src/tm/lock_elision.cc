@@ -13,7 +13,7 @@ using asfsim::SimThread;
 using asfsim::Task;
 
 ElidableLock::ElidableLock(asf::Machine& machine, const ElisionParams& params)
-    : RetryDriver(machine, TxMode::kElision, params.policy, kElisionBackoff, params.rng_seed) {
+    : RetryDriver(machine, TxMode::kElision, params.policy, params.rng_seed) {
   // The elided section is the lock's own code: no ABI glue around
   // SPECULATE and COMMIT.
   costs_.begin_instructions = 0;
@@ -30,12 +30,11 @@ std::string ElidableLock::name() const {
   return "LockElision (" + machine_.params().variant.Name() + ")";
 }
 
-Task<void> ElidableLock::CriticalSection(SimThread& t, Body body, uint32_t site) {
-  return Atomic(t, site, [body = std::move(body)](Tx& tx) { return body(!tx.irrevocable()); });
+Task<void> ElidableLock::CriticalSection(SimThread& t, Body body) {
+  return Atomic(t, [body = std::move(body)](Tx& tx) { return body(!tx.irrevocable()); });
 }
 
-Task<bool> ElidableLock::Fallback(SimThread& t, TxThread& pt, uint32_t, BodyFn& body,
-                                  uint32_t) {
+Task<bool> ElidableLock::Fallback(SimThread& t, TxThread& pt, BodyFn& body, uint32_t) {
   EmitTxEvent(machine_, t, TxEventKind::kFallbackTransition, TxMode::kLock, AbortCause::kNone, 0,
               0, static_cast<uint64_t>(TxMode::kElision));
   co_await fallback_.Acquire(t);

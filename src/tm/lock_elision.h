@@ -9,7 +9,7 @@
 // other elided sections proceed in parallel, while any real acquisition (the
 // fallback) writes the word and thereby aborts all elisions monitoring it.
 // The lock is a RetryDriver runtime: the word is the hardware attempt's
-// gate, and the ContentionPolicy decides when a section stops eliding and
+// gate, and the contention policy decides when a section stops eliding and
 // takes the lock for real (its kSerialize action).
 //
 // Sections are TmRuntime atomic blocks. Elided, the body gets the hardware
@@ -28,7 +28,6 @@
 #define SRC_TM_LOCK_ELISION_H_
 
 #include <functional>
-#include <memory>
 #include <string>
 
 #include "src/asf/machine.h"
@@ -50,9 +49,8 @@ struct ElisionParams {
   uint64_t rng_seed = 0xE11DE;
   // Disables elision entirely (plain lock; the comparison baseline).
   bool always_acquire = false;
-  // Contention management. Null selects kElisionBackoff; kSerialize
-  // decisions take the real lock.
-  std::shared_ptr<ContentionPolicy> policy;
+  // Contention management; kSerialize decisions take the real lock.
+  ExpBackoffParams policy = kElisionBackoff;
 };
 
 class ElidableLock : public RetryDriver {
@@ -67,9 +65,8 @@ class ElidableLock : public RetryDriver {
   using Body = std::function<asfsim::Task<void>(bool elided)>;
 
   // Executes `body` as a critical section protected by this lock, eliding
-  // when possible. `site` is the section's static site id, forwarded to the
-  // contention policy (0 = unattributed).
-  asfsim::Task<void> CriticalSection(asfsim::SimThread& t, Body body, uint32_t site = 0);
+  // when possible.
+  asfsim::Task<void> CriticalSection(asfsim::SimThread& t, Body body);
 
   // Statistics.
   uint64_t elided_commits() const { return TotalStats().hw_commits; }
@@ -85,7 +82,7 @@ class ElidableLock : public RetryDriver {
   };
 
   // The real acquisition: the store aborts every concurrent elision.
-  asfsim::Task<bool> Fallback(asfsim::SimThread& t, TxThread& pt, uint32_t site, BodyFn& body,
+  asfsim::Task<bool> Fallback(asfsim::SimThread& t, TxThread& pt, BodyFn& body,
                               uint32_t retry) override;
 
   LockWord* lock_word_;        // Arena-allocated; the elisions' gate.

@@ -13,7 +13,7 @@ using asfsim::SimThread;
 using asfsim::Task;
 
 PhasedTm::PhasedTm(asf::Machine& machine, const PhasedTmParams& params)
-    : RetryDriver(machine, TxMode::kHardware, params.policy, kPhasedTmBackoff, params.rng_seed),
+    : RetryDriver(machine, TxMode::kHardware, params.policy, params.rng_seed),
       software_quota_(params.software_quota) {
   costs_ = {params.begin_instructions, params.commit_instructions, params.barrier_instructions,
             params.alloc_instructions};
@@ -38,7 +38,7 @@ std::string PhasedTm::name() const {
 
 // The store to the phase word aborts every in-flight hardware transaction
 // monitoring it.
-Task<bool> PhasedTm::Fallback(SimThread& t, TxThread&, uint32_t, BodyFn&, uint32_t retry) {
+Task<bool> PhasedTm::Fallback(SimThread& t, TxThread&, BodyFn&, uint32_t retry) {
   co_await t.Store(AccessKind::kStore, &phase_->software_budget, 8, software_quota_);
   co_await t.Store(AccessKind::kStore, &phase_->phase, 8, kSoftware);
   ++to_software_;
@@ -47,7 +47,7 @@ Task<bool> PhasedTm::Fallback(SimThread& t, TxThread&, uint32_t, BodyFn&, uint32
   co_return false;
 }
 
-Task<bool> PhasedTm::GateClosed(SimThread& t, TxThread& pt, uint32_t site, BodyFn& body) {
+Task<bool> PhasedTm::GateClosed(SimThread& t, TxThread& pt, BodyFn& body) {
   if (phase_->phase == kDraining) {
     // A switch back to hardware is in progress; wait it out.
     co_await t.Sleep(128);
@@ -61,7 +61,7 @@ Task<bool> PhasedTm::GateClosed(SimThread& t, TxThread& pt, uint32_t site, BodyF
     co_return false;
   }
   const uint64_t stm_commits = stm_->stats(t.id()).stm_commits;
-  co_await stm_->Atomic(t, site, std::move(body));
+  co_await stm_->Atomic(t, std::move(body));
   if (stm_->stats(t.id()).stm_commits == stm_commits) {
     // Cancelled by Tx::UserAbort: not a commit, so it spends no quota.
     co_await t.FetchAdd(&phase_->active_software, 8, static_cast<uint64_t>(-1));

@@ -44,10 +44,9 @@ struct PhasedTmParams {
   uint32_t stm_orec_count_log2 = TinyStmParams().orec_count_log2;
   uint64_t stm_max_read_set = TinyStmParams().max_read_set;
   uint64_t stm_max_write_set = TinyStmParams().max_write_set;
-  // Contention management for the hardware phase. Null selects
-  // kPhasedTmBackoff; kSerialize decisions flip the system into the
-  // software phase.
-  std::shared_ptr<ContentionPolicy> policy;
+  // Contention management for the hardware phase; kSerialize decisions flip
+  // the system into the software phase.
+  ExpBackoffParams policy = kPhasedTmBackoff;
 };
 
 class PhasedTm : public RetryDriver {
@@ -82,11 +81,10 @@ class PhasedTm : public RetryDriver {
   // budget) flips the whole system into the software phase instead of
   // serializing, so capacity-challenged transactions retain concurrency
   // among themselves. The block then dispatches again.
-  asfsim::Task<bool> Fallback(asfsim::SimThread& t, TxThread& pt, uint32_t site, BodyFn& body,
+  asfsim::Task<bool> Fallback(asfsim::SimThread& t, TxThread& pt, BodyFn& body,
                               uint32_t retry) override;
   // The phase word is not kHardware: run the block in the software phase.
-  asfsim::Task<bool> GateClosed(asfsim::SimThread& t, TxThread& pt, uint32_t site,
-                                BodyFn& body) override;
+  asfsim::Task<bool> GateClosed(asfsim::SimThread& t, TxThread& pt, BodyFn& body) override;
 
   const uint32_t software_quota_;
   PhaseState* phase_;

@@ -65,7 +65,7 @@ SequentialTm::SequentialTm(asf::Machine& machine) : RuntimeBase(machine) {
 
 SequentialTm::~SequentialTm() = default;
 
-Task<void> SequentialTm::Atomic(SimThread& t, uint32_t /*site*/, BodyFn body) {
+Task<void> SequentialTm::Atomic(SimThread& t, BodyFn body) {
   TxThread& pt = *threads_[t.id()];
   ++pt.stats.tx_started;
   // Sequential execution is a degenerate serial-irrevocable block: one
@@ -90,7 +90,7 @@ GlobalLockTm::GlobalLockTm(asf::Machine& machine) : RuntimeBase(machine) {
 
 GlobalLockTm::~GlobalLockTm() = default;
 
-Task<void> GlobalLockTm::Atomic(SimThread& t, uint32_t /*site*/, BodyFn body) {
+Task<void> GlobalLockTm::Atomic(SimThread& t, BodyFn body) {
   TxThread& pt = *threads_[t.id()];
   ++pt.stats.tx_started;
   // Begin before the acquire so lock-wait time is part of block latency —

@@ -24,8 +24,7 @@ class SequentialTm : public RuntimeBase {
   ~SequentialTm() override;
 
   std::string name() const override { return "Sequential"; }
-  using TmRuntime::Atomic;
-  asfsim::Task<void> Atomic(asfsim::SimThread& thread, uint32_t site, BodyFn body) override;
+  asfsim::Task<void> Atomic(asfsim::SimThread& thread, BodyFn body) override;
 };
 
 class GlobalLockTm : public RuntimeBase {
@@ -34,8 +33,7 @@ class GlobalLockTm : public RuntimeBase {
   ~GlobalLockTm() override;
 
   std::string name() const override { return "Global lock"; }
-  using TmRuntime::Atomic;
-  asfsim::Task<void> Atomic(asfsim::SimThread& thread, uint32_t site, BodyFn body) override;
+  asfsim::Task<void> Atomic(asfsim::SimThread& thread, BodyFn body) override;
 
  private:
   struct alignas(asfcommon::kCacheLineBytes) LockWord {

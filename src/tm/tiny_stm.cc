@@ -122,8 +122,7 @@ class StmTx : public Tx {
 };
 
 TinyStm::TinyStm(asf::Machine& machine, const TinyStmParams& params)
-    : RetryDriver(machine, asfobs::TxMode::kStm, params.policy, kTinyStmBackoff,
-                  params.rng_seed),
+    : RetryDriver(machine, asfobs::TxMode::kStm, params.policy, params.rng_seed),
       params_(params) {
   asfcommon::SimArena& arena = machine.arena();
   arena_base_ = arena.base();
@@ -257,7 +256,7 @@ Task<void> TinyStm::Attempt(SimThread& t, TxThread& thread, const BodyFn& body) 
   co_await Commit(t, pt);
 }
 
-Task<bool> TinyStm::Fallback(SimThread&, TxThread&, uint32_t, BodyFn&, uint32_t) {
+Task<bool> TinyStm::Fallback(SimThread&, TxThread&, BodyFn&, uint32_t) {
   co_return false;
 }
 

@@ -24,7 +24,6 @@
 #define SRC_TM_TINY_STM_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <type_traits>
 
@@ -59,9 +58,9 @@ struct TinyStmParams {
   uint32_t validate_instructions_per_entry = 4;
   uint32_t alloc_instructions = 12;
   uint64_t rng_seed = 0x7A57;
-  // Contention management. Null selects kTinyStmBackoff. The STM has no
-  // fallback mode, so kSerialize decisions retry immediately instead.
-  std::shared_ptr<ContentionPolicy> policy;
+  // Contention management. The STM has no fallback mode, so kSerialize
+  // decisions retry immediately instead.
+  ExpBackoffParams policy = kTinyStmBackoff;
 };
 
 class TinyStm : public RetryDriver {
@@ -131,7 +130,7 @@ class TinyStm : public RetryDriver {
   // No fallback mode exists, so a kSerialize decision degenerates to an
   // immediate retry; the STM's word-granular conflict detection plus backoff
   // is its whole forward-progress story.
-  asfsim::Task<bool> Fallback(asfsim::SimThread& t, TxThread& pt, uint32_t site, BodyFn& body,
+  asfsim::Task<bool> Fallback(asfsim::SimThread& t, TxThread& pt, BodyFn& body,
                               uint32_t retry) override;
   asfsim::Task<void> Commit(asfsim::SimThread& t, PerThread& pt);
   // Validates the read set at the current clock; extends rv on success.

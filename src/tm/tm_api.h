@@ -114,20 +114,8 @@ class TmRuntime {
 
   // Executes one atomic block on `thread`: runs `body` under the runtime's
   // concurrency-control algorithm until it commits (or is cancelled by
-  // Tx::UserAbort). `site` is the static id of the atomic block in the
-  // program — the analog of the ABI's per-statement descriptor — forwarded
-  // to the contention policy so site-keyed policies (adaptive) can learn
-  // per-block behavior. Site 0 is "unattributed"; ids are dense small
-  // integers chosen by the workload.
-  //
-  // NOTE for implementers: overriding the 3-arg virtual hides the 2-arg
-  // convenience below — add `using TmRuntime::Atomic;` in the derived class.
-  virtual asfsim::Task<void> Atomic(asfsim::SimThread& thread, uint32_t site, BodyFn body) = 0;
-
-  // Convenience: an unattributed block (site 0).
-  asfsim::Task<void> Atomic(asfsim::SimThread& thread, BodyFn body) {
-    return Atomic(thread, 0, std::move(body));
-  }
+  // Tx::UserAbort).
+  virtual asfsim::Task<void> Atomic(asfsim::SimThread& thread, BodyFn body) = 0;
 
   // Per-thread statistics and the aggregate across threads.
   virtual const TxStats& stats(uint32_t thread_id) const = 0;

@@ -174,27 +174,21 @@ void RuntimeBase::WarmAllocators() {
   }
 }
 
-RetryDriver::RetryDriver(asf::Machine& machine, TxMode mode,
-                         std::shared_ptr<ContentionPolicy> policy,
-                         ExpBackoffParams default_policy, uint64_t seed)
-    : RuntimeBase(machine), mode_(mode), policy_(std::move(policy)) {
-  if (policy_ == nullptr) {
-    default_policy.seed = seed;
-    policy_ = MakeExpBackoffPolicy(default_policy);
-  }
-}
+RetryDriver::RetryDriver(asf::Machine& machine, TxMode mode, const ExpBackoffParams& policy,
+                         uint64_t seed)
+    : RuntimeBase(machine), mode_(mode), policy_(policy, seed) {}
 
-Task<void> RetryDriver::Atomic(SimThread& t, uint32_t site, BodyFn body) {
+Task<void> RetryDriver::Atomic(SimThread& t, BodyFn body) {
   TxThread& pt = *threads_[t.id()];
   Core& core = t.core();
   ++pt.stats.tx_started;
-  policy_->OnBlockStart(t.id(), site);
+  policy_.OnBlockStart(t.id());
   const bool stm = mode_ == TxMode::kStm;
   // Elided attempts are not attempt-accounted; their events carry attempt 0.
   const bool accounted = mode_ != TxMode::kElision;
   uint32_t retry = 0;  // Aborted attempts so far: the lifecycle retry ordinal.
   if (always_fallback_) {
-    co_await Fallback(t, pt, site, body, retry);
+    co_await Fallback(t, pt, body, retry);
     co_return;
   }
   for (;;) {
@@ -204,7 +198,7 @@ Task<void> RetryDriver::Atomic(SimThread& t, uint32_t site, BodyFn body) {
         co_await t.Access(AccessKind::kLoad, gate_, 8);
       }
       if (*gate_ != 0) {
-        if (co_await GateClosed(t, pt, site, body)) {
+        if (co_await GateClosed(t, pt, body)) {
           co_return;
         }
         continue;
@@ -256,9 +250,9 @@ Task<void> RetryDriver::Atomic(SimThread& t, uint32_t site, BodyFn body) {
     // Everything else — contention, capacity, transient OS events,
     // disallowed instructions, STM conflicts — is contention management's
     // call.
-    PolicyDecision d = policy_->OnAbort(t.id(), cause, site);
+    PolicyDecision d = policy_.OnAbort(t.id(), cause);
     if (d.action == PolicyAction::kSerialize) {
-      if (co_await Fallback(t, pt, site, body, retry)) {
+      if (co_await Fallback(t, pt, body, retry)) {
         co_return;
       }
     } else if (d.action == PolicyAction::kBackoffRetry) {
@@ -302,7 +296,7 @@ Task<void> RetryDriver::Attempt(SimThread& t, TxThread& pt, const BodyFn& body) 
   co_await t.Access(AccessKind::kCommit, uint64_t{0}, 1);
 }
 
-Task<bool> RetryDriver::GateClosed(SimThread& t, TxThread&, uint32_t, BodyFn&) {
+Task<bool> RetryDriver::GateClosed(SimThread& t, TxThread&, BodyFn&) {
   CategoryGuard g(t.core(), CycleCategory::kTxStartCommit);
   co_await t.Sleep(gate_poll_cycles_);
   co_return false;

@@ -100,14 +100,12 @@ class RuntimeBase : public TmRuntime {
 // and set the gate, the costs and the poll interval in their constructors.
 class RetryDriver : public RuntimeBase {
  public:
-  using TmRuntime::Atomic;
-  asfsim::Task<void> Atomic(asfsim::SimThread& thread, uint32_t site, BodyFn body) override;
+  asfsim::Task<void> Atomic(asfsim::SimThread& thread, BodyFn body) override;
 
  protected:
-  // `mode` tags the attempts' lifecycle events. A null `policy` selects
-  // `default_policy` seeded with `seed`.
-  RetryDriver(asf::Machine& machine, asfobs::TxMode mode,
-              std::shared_ptr<ContentionPolicy> policy, ExpBackoffParams default_policy,
+  // `mode` tags the attempts' lifecycle events; the contention policy runs
+  // `policy` seeded with the runtime's `seed`.
+  RetryDriver(asf::Machine& machine, asfobs::TxMode mode, const ExpBackoffParams& policy,
               uint64_t seed);
 
   // One attempt of the block, run in an abortable scope. The default is the
@@ -117,21 +115,20 @@ class RetryDriver : public RuntimeBase {
   // Runs the block on the runtime's fallback after the policy's kSerialize;
   // `retry` counts the block's aborted attempts. Returns false when the block
   // must be dispatched again (PhasedTM's phase switch, TinySTM's retry).
-  virtual asfsim::Task<bool> Fallback(asfsim::SimThread& t, TxThread& pt, uint32_t site,
-                                      BodyFn& body, uint32_t retry) = 0;
+  virtual asfsim::Task<bool> Fallback(asfsim::SimThread& t, TxThread& pt, BodyFn& body,
+                                      uint32_t retry) = 0;
 
   // The gate word read nonzero before an attempt. Returns true when the block
   // ran to completion elsewhere (PhasedTM's software phase); the default
   // waits gate_poll_cycles_ for the gate holder and dispatches again.
-  virtual asfsim::Task<bool> GateClosed(asfsim::SimThread& t, TxThread& pt, uint32_t site,
-                                        BodyFn& body);
+  virtual asfsim::Task<bool> GateClosed(asfsim::SimThread& t, TxThread& pt, BodyFn& body);
 
   // Runs `body` with the serial (plain-access, undo-logged) Tx handle; await
   // it through RunAbortable so Tx::UserAbort can unwind it.
   asfsim::Task<void> SerialBody(asfsim::SimThread& t, TxThread& pt, const BodyFn& body);
 
   const asfobs::TxMode mode_;
-  std::shared_ptr<ContentionPolicy> policy_;
+  ContentionPolicy policy_;
   HwCosts costs_;
   uint64_t* gate_ = nullptr;         // Arena-allocated; null = no gate (TinySTM).
   uint64_t gate_poll_cycles_ = 128;  // Wait between gate checks.

@@ -1,13 +1,13 @@
 // Copyright (c) 2026 The asf-tm-stack Authors. All rights reserved.
-// Tests of the pluggable contention-management policies (src/tm/
-// contention_policy.h): the retry/backoff/serialize decisions each built-in
-// makes per abort cause, the jittered-backoff bounds, per-thread retry
-// budgets, determinism under a fixed seed, and the factory spec parser.
+// Tests of the contention manager (src/tm/contention_policy.h): the
+// retry/backoff/serialize decisions it makes per abort cause, the
+// jittered-backoff bounds, per-thread retry budgets, determinism under a
+// fixed seed, the no-backoff preset, and the spec parser.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <string>
-#include <vector>
 
 #include "src/tm/contention_policy.h"
 
@@ -35,32 +35,32 @@ uint32_t RetriesUntilSerialize(ContentionPolicy& p, uint32_t tid, AbortCause cau
 TEST(ExpBackoffPolicy, TransientCausesRetryFreeAndUncounted) {
   ExpBackoffParams params;
   params.max_retries = 2;
-  auto p = MakeExpBackoffPolicy(params);
-  p->OnBlockStart(0);
+  ContentionPolicy p(params, 1);
+  p.OnBlockStart(0);
   // Any number of page faults / interrupts retries immediately without
   // consuming the budget...
   for (int i = 0; i < 50; ++i) {
-    EXPECT_EQ(p->OnAbort(0, AbortCause::kPageFault).action, PolicyAction::kRetryNow);
-    EXPECT_EQ(p->OnAbort(0, AbortCause::kInterrupt).action, PolicyAction::kRetryNow);
+    EXPECT_EQ(p.OnAbort(0, AbortCause::kPageFault).action, PolicyAction::kRetryNow);
+    EXPECT_EQ(p.OnAbort(0, AbortCause::kInterrupt).action, PolicyAction::kRetryNow);
   }
   // ...so the full contention budget is still available afterwards.
-  EXPECT_EQ(p->OnAbort(0, AbortCause::kContention).action, PolicyAction::kBackoffRetry);
-  EXPECT_EQ(p->OnAbort(0, AbortCause::kContention).action, PolicyAction::kBackoffRetry);
-  EXPECT_EQ(p->OnAbort(0, AbortCause::kContention).action, PolicyAction::kSerialize);
+  EXPECT_EQ(p.OnAbort(0, AbortCause::kContention).action, PolicyAction::kBackoffRetry);
+  EXPECT_EQ(p.OnAbort(0, AbortCause::kContention).action, PolicyAction::kBackoffRetry);
+  EXPECT_EQ(p.OnAbort(0, AbortCause::kContention).action, PolicyAction::kSerialize);
 }
 
 TEST(ExpBackoffPolicy, CapacitySerializesImmediatelyByDefault) {
-  auto p = MakeExpBackoffPolicy(ExpBackoffParams{});
-  p->OnBlockStart(0);
-  EXPECT_EQ(p->OnAbort(0, AbortCause::kCapacity).action, PolicyAction::kSerialize);
+  ContentionPolicy p(ExpBackoffParams{}, 1);
+  p.OnBlockStart(0);
+  EXPECT_EQ(p.OnAbort(0, AbortCause::kCapacity).action, PolicyAction::kSerialize);
 }
 
 TEST(ExpBackoffPolicy, CapacityCountsAgainstBudgetWhenSerializationOff) {
   ExpBackoffParams params;
   params.capacity_serializes = false;
   params.max_retries = 3;
-  auto p = MakeExpBackoffPolicy(params);
-  EXPECT_EQ(RetriesUntilSerialize(*p, 0, AbortCause::kCapacity), 3u);
+  ContentionPolicy p(params, 1);
+  EXPECT_EQ(RetriesUntilSerialize(p, 0, AbortCause::kCapacity), 3u);
 }
 
 TEST(ExpBackoffPolicy, BudgetExhaustionSerializesForEveryCountedCause) {
@@ -68,8 +68,8 @@ TEST(ExpBackoffPolicy, BudgetExhaustionSerializesForEveryCountedCause) {
                            AbortCause::kSyscall}) {
     ExpBackoffParams params;
     params.max_retries = 4;
-    auto p = MakeExpBackoffPolicy(params);
-    EXPECT_EQ(RetriesUntilSerialize(*p, 0, cause), 4u)
+    ContentionPolicy p(params, 1);
+    EXPECT_EQ(RetriesUntilSerialize(p, 0, cause), 4u)
         << asfcommon::AbortCauseName(cause);
   }
 }
@@ -77,22 +77,22 @@ TEST(ExpBackoffPolicy, BudgetExhaustionSerializesForEveryCountedCause) {
 TEST(ExpBackoffPolicy, OnBlockStartResetsTheBudget) {
   ExpBackoffParams params;
   params.max_retries = 2;
-  auto p = MakeExpBackoffPolicy(params);
-  EXPECT_EQ(RetriesUntilSerialize(*p, 0, AbortCause::kContention), 2u);
+  ContentionPolicy p(params, 1);
+  EXPECT_EQ(RetriesUntilSerialize(p, 0, AbortCause::kContention), 2u);
   // A fresh block gets the full budget again.
-  EXPECT_EQ(RetriesUntilSerialize(*p, 0, AbortCause::kContention), 2u);
+  EXPECT_EQ(RetriesUntilSerialize(p, 0, AbortCause::kContention), 2u);
 }
 
 TEST(ExpBackoffPolicy, BudgetsAreIndependentPerThread) {
   ExpBackoffParams params;
   params.max_retries = 1;
-  auto p = MakeExpBackoffPolicy(params);
-  p->OnBlockStart(0);
-  p->OnBlockStart(1);
-  EXPECT_EQ(p->OnAbort(0, AbortCause::kContention).action, PolicyAction::kBackoffRetry);
-  EXPECT_EQ(p->OnAbort(0, AbortCause::kContention).action, PolicyAction::kSerialize);
+  ContentionPolicy p(params, 1);
+  p.OnBlockStart(0);
+  p.OnBlockStart(1);
+  EXPECT_EQ(p.OnAbort(0, AbortCause::kContention).action, PolicyAction::kBackoffRetry);
+  EXPECT_EQ(p.OnAbort(0, AbortCause::kContention).action, PolicyAction::kSerialize);
   // Thread 1's budget is untouched by thread 0's exhaustion.
-  EXPECT_EQ(p->OnAbort(1, AbortCause::kContention).action, PolicyAction::kBackoffRetry);
+  EXPECT_EQ(p.OnAbort(1, AbortCause::kContention).action, PolicyAction::kBackoffRetry);
 }
 
 TEST(ExpBackoffPolicy, JitteredWaitStaysWithinExponentialBounds) {
@@ -100,10 +100,10 @@ TEST(ExpBackoffPolicy, JitteredWaitStaysWithinExponentialBounds) {
   params.base_cycles = 64;
   params.shift_cap = 3;
   params.max_retries = 1000;  // Never serialize in this test.
-  auto p = MakeExpBackoffPolicy(params);
-  p->OnBlockStart(0);
+  ContentionPolicy p(params, 1);
+  p.OnBlockStart(0);
   for (uint32_t retry = 1; retry <= 10; ++retry) {
-    PolicyDecision d = p->OnAbort(0, AbortCause::kContention);
+    PolicyDecision d = p.OnAbort(0, AbortCause::kContention);
     ASSERT_EQ(d.action, PolicyAction::kBackoffRetry);
     uint32_t shift = std::min(retry, params.shift_cap);
     uint64_t max_wait = params.base_cycles << shift;
@@ -114,303 +114,120 @@ TEST(ExpBackoffPolicy, JitteredWaitStaysWithinExponentialBounds) {
 
 TEST(ExpBackoffPolicy, SameSeedReplaysTheSameWaitSequence) {
   ExpBackoffParams params;
-  params.seed = 0xABCDEF;
   params.max_retries = 1000;
-  auto a = MakeExpBackoffPolicy(params);
-  auto b = MakeExpBackoffPolicy(params);
-  a->OnBlockStart(0);
-  b->OnBlockStart(0);
+  ContentionPolicy a(params, 0xABCDEF);
+  ContentionPolicy b(params, 0xABCDEF);
+  a.OnBlockStart(0);
+  b.OnBlockStart(0);
   for (int i = 0; i < 20; ++i) {
-    EXPECT_EQ(a->OnAbort(0, AbortCause::kContention).backoff_cycles,
-              b->OnAbort(0, AbortCause::kContention).backoff_cycles);
+    EXPECT_EQ(a.OnAbort(0, AbortCause::kContention).backoff_cycles,
+              b.OnAbort(0, AbortCause::kContention).backoff_cycles);
   }
 }
 
-// --- CappedRetryPolicy -------------------------------------------------------
+// --- Zero-budget and zero-wait specs ----------------------------------------
+// `retries=0` serializes on the first counted abort; `base=0` turns every
+// granted retry into an immediate one (no backoff events, no sleep).
 
-TEST(CappedRetryPolicy, RetriesImmediatelyThenSerializes) {
-  auto p = MakeCappedRetryPolicy(3);
-  p->OnBlockStart(0);
-  for (int i = 0; i < 3; ++i) {
-    PolicyDecision d = p->OnAbort(0, AbortCause::kContention);
-    EXPECT_EQ(d.action, PolicyAction::kRetryNow);
-    EXPECT_EQ(d.backoff_cycles, 0u);
-  }
-  EXPECT_EQ(p->OnAbort(0, AbortCause::kContention).action, PolicyAction::kSerialize);
+// The policy `spec` names, seeded like a runtime would seed it.
+ContentionPolicy FromSpec(const std::string& spec) {
+  std::string error;
+  std::optional<ExpBackoffParams> params = MakeContentionPolicy(spec, &error);
+  EXPECT_TRUE(params.has_value()) << spec << ": " << error;
+  return ContentionPolicy(params.value_or(ExpBackoffParams{}), 1);
 }
 
-TEST(CappedRetryPolicy, TransientsDoNotConsumeTheCap) {
-  auto p = MakeCappedRetryPolicy(1);
-  p->OnBlockStart(0);
+TEST(ExpBackoffPolicy, ZeroRetriesSerializesOnFirstNonTransientAbort) {
+  ContentionPolicy p = FromSpec("exp-backoff:retries=0");
+  for (AbortCause cause : {AbortCause::kContention, AbortCause::kCapacity,
+                           AbortCause::kDisallowed, AbortCause::kSyscall}) {
+    p.OnBlockStart(0);
+    EXPECT_EQ(p.OnAbort(0, AbortCause::kPageFault).action, PolicyAction::kRetryNow);
+    EXPECT_EQ(p.OnAbort(0, AbortCause::kInterrupt).action, PolicyAction::kRetryNow);
+    PolicyDecision d = p.OnAbort(0, cause);
+    EXPECT_EQ(d.action, PolicyAction::kSerialize) << asfcommon::AbortCauseName(cause);
+    EXPECT_EQ(d.backoff_cycles, 0u) << asfcommon::AbortCauseName(cause);
+  }
+}
+
+TEST(ExpBackoffPolicy, ZeroBaseRetriesImmediatelyThenSerializes) {
+  for (AbortCause cause : {AbortCause::kContention, AbortCause::kCapacity}) {
+    ContentionPolicy p = FromSpec("exp-backoff:base=0,capacity-serial=0,retries=3");
+    p.OnBlockStart(0);
+    for (int i = 0; i < 3; ++i) {
+      PolicyDecision d = p.OnAbort(0, cause);
+      EXPECT_EQ(d.action, PolicyAction::kRetryNow) << asfcommon::AbortCauseName(cause);
+      EXPECT_EQ(d.backoff_cycles, 0u) << asfcommon::AbortCauseName(cause);
+    }
+    EXPECT_EQ(p.OnAbort(0, cause).action, PolicyAction::kSerialize)
+        << asfcommon::AbortCauseName(cause);
+  }
+}
+
+TEST(ExpBackoffPolicy, ZeroBaseTransientsDoNotConsumeTheBudget) {
+  ContentionPolicy p = FromSpec("exp-backoff:base=0,capacity-serial=0,retries=1");
+  p.OnBlockStart(0);
   for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(p->OnAbort(0, AbortCause::kInterrupt).action, PolicyAction::kRetryNow);
+    EXPECT_EQ(p.OnAbort(0, AbortCause::kInterrupt).action, PolicyAction::kRetryNow);
   }
-  EXPECT_EQ(p->OnAbort(0, AbortCause::kContention).action, PolicyAction::kRetryNow);
-  EXPECT_EQ(p->OnAbort(0, AbortCause::kContention).action, PolicyAction::kSerialize);
+  EXPECT_EQ(p.OnAbort(0, AbortCause::kContention).action, PolicyAction::kRetryNow);
+  EXPECT_EQ(p.OnAbort(0, AbortCause::kContention).action, PolicyAction::kSerialize);
 }
 
-// --- ImmediateSerializePolicy ------------------------------------------------
-
-TEST(ImmediateSerializePolicy, SerializesOnFirstNonTransientAbort) {
-  auto p = MakeImmediateSerializePolicy();
-  p->OnBlockStart(0);
-  EXPECT_EQ(p->OnAbort(0, AbortCause::kPageFault).action, PolicyAction::kRetryNow);
-  EXPECT_EQ(p->OnAbort(0, AbortCause::kInterrupt).action, PolicyAction::kRetryNow);
-  EXPECT_EQ(p->OnAbort(0, AbortCause::kContention).action, PolicyAction::kSerialize);
-}
-
-// --- NoBackoffPolicy ---------------------------------------------------------
+// --- kNoBackoff --------------------------------------------------------------
 
 TEST(NoBackoffPolicy, NeverBacksOffAndNeverSerializes) {
-  auto p = MakeNoBackoffPolicy();
-  p->OnBlockStart(0);
+  ContentionPolicy p = FromSpec("no-backoff");
+  p.OnBlockStart(0);
   for (AbortCause cause : {AbortCause::kContention, AbortCause::kCapacity,
                            AbortCause::kDisallowed, AbortCause::kSyscall,
                            AbortCause::kInterrupt}) {
     for (int i = 0; i < 100; ++i) {
-      PolicyDecision d = p->OnAbort(0, cause);
+      PolicyDecision d = p.OnAbort(0, cause);
       ASSERT_EQ(d.action, PolicyAction::kRetryNow);
       ASSERT_EQ(d.backoff_cycles, 0u);
     }
   }
 }
 
-// --- AdaptivePolicy ----------------------------------------------------------
-
-TEST(AdaptivePolicy, SecondHopelessCauseInOneBlockSerializes) {
-  auto p = MakeAdaptivePolicy(AdaptivePolicyParams{});
-  p->OnBlockStart(0);
-  EXPECT_EQ(p->OnAbort(0, AbortCause::kCapacity).action, PolicyAction::kBackoffRetry);
-  EXPECT_EQ(p->OnAbort(0, AbortCause::kSyscall).action, PolicyAction::kSerialize);
-  // A new block resets the per-block hopeless counter.
-  p->OnBlockStart(0);
-  EXPECT_EQ(p->OnAbort(0, AbortCause::kDisallowed).action, PolicyAction::kBackoffRetry);
-}
-
-TEST(AdaptivePolicy, BudgetShrinksWithHopelessShareOfWindow) {
-  AdaptivePolicyParams params;
-  params.window = 1;
-  params.max_retries = 3;
-  params.min_retries = 0;
-  auto p = MakeAdaptivePolicy(params);
-  // Fresh policy, contention-only mix: full budget of 3 counted retries.
-  EXPECT_EQ(RetriesUntilSerialize(*p, 0, AbortCause::kContention), 3u);
-  // Saturate the (size-1) window with a hopeless cause: the budget bottoms
-  // out at min_retries = 0, so the next counted abort serializes at once.
-  p->OnBlockStart(0);
-  EXPECT_EQ(p->OnAbort(0, AbortCause::kCapacity).action, PolicyAction::kSerialize);
-}
-
-TEST(AdaptivePolicy, ContentionOnlyMixKeepsTheFullBudget) {
-  AdaptivePolicyParams params;
-  params.window = 8;
-  params.max_retries = 5;
-  params.min_retries = 1;
-  auto p = MakeAdaptivePolicy(params);
-  // Several contention-only blocks in a row all get max_retries.
-  for (int block = 0; block < 3; ++block) {
-    EXPECT_EQ(RetriesUntilSerialize(*p, 0, AbortCause::kContention), 5u) << block;
-  }
-}
-
-TEST(AdaptivePolicy, SitesAdaptIndependentlyAndShareAcrossThreads) {
-  AdaptivePolicyParams params;
-  params.window = 4;
-  params.max_retries = 4;
-  params.min_retries = 0;
-  auto p = MakeAdaptivePolicy(params);
-
-  // Warm site 2 with a contention-only history (full budget, four waits)...
-  p->OnBlockStart(0, /*site=*/2);
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(p->OnAbort(0, AbortCause::kContention, 2).action, PolicyAction::kBackoffRetry)
-        << i;
-  }
-  // ...and saturate site 1's window with hopeless causes: with min_retries=0
-  // each block's first capacity abort already serializes, recording as it
-  // goes.
-  for (int block = 0; block < 4; ++block) {
-    p->OnBlockStart(0, /*site=*/1);
-    EXPECT_EQ(p->OnAbort(0, AbortCause::kCapacity, 1).action, PolicyAction::kSerialize)
-        << block;
-  }
-
-  // The SAME thread now takes a capacity abort at each site: site 2's
-  // contention-dominated window still grants a retry, site 1's
-  // hopeless-saturated window serializes at once. The lesson belongs to the
-  // atomic block, not to whichever thread runs it.
-  p->OnBlockStart(0, /*site=*/2);
-  EXPECT_EQ(p->OnAbort(0, AbortCause::kCapacity, 2).action, PolicyAction::kBackoffRetry);
-  p->OnBlockStart(0, /*site=*/1);
-  EXPECT_EQ(p->OnAbort(0, AbortCause::kCapacity, 1).action, PolicyAction::kSerialize);
-
-  // And the site's lesson transfers across threads: thread 1's first-ever
-  // abort, at the poisoned site, inherits the learned mix.
-  p->OnBlockStart(1, /*site=*/1);
-  EXPECT_EQ(p->OnAbort(1, AbortCause::kCapacity, 1).action, PolicyAction::kSerialize);
-}
-
-// --- KarmaPolicy -------------------------------------------------------------
-
-TEST(KarmaPolicy, SerializesAtTheThreshold) {
-  KarmaPolicyParams params;
-  params.serialize_threshold = 3;
-  auto p = MakeKarmaPolicy(params);
-  // threshold - 1 backoff-retries; the threshold-th counted abort claims the
-  // guaranteed-win fallback.
-  EXPECT_EQ(RetriesUntilSerialize(*p, 0, AbortCause::kContention), 2u);
-}
-
-TEST(KarmaPolicy, BackoffShrinksAsKarmaGrows) {
-  KarmaPolicyParams params;
-  params.serialize_threshold = 10;
-  params.base_cycles = 64;
-  params.shift_cap = 8;
-  auto p = MakeKarmaPolicy(params);
-  p->OnBlockStart(0);
-  uint64_t prev_bound = UINT64_MAX;
-  for (uint32_t karma = 1; karma < params.serialize_threshold; ++karma) {
-    PolicyDecision d = p->OnAbort(0, AbortCause::kContention);
-    ASSERT_EQ(d.action, PolicyAction::kBackoffRetry) << "karma " << karma;
-    // The wait exponent is the remaining distance to the threshold, so the
-    // jitter window halves (once under the shift cap) with every loss: a
-    // repeatedly beaten block yields less and less before it escalates.
-    const uint32_t deficit = params.serialize_threshold - karma;
-    const uint64_t bound = params.base_cycles
-                           << std::min(deficit, params.shift_cap);
-    EXPECT_GE(d.backoff_cycles, bound / 2) << "karma " << karma;
-    EXPECT_LE(d.backoff_cycles, bound) << "karma " << karma;
-    EXPECT_LE(bound, prev_bound) << "karma " << karma;
-    prev_bound = bound;
-  }
-  EXPECT_EQ(p->OnAbort(0, AbortCause::kContention).action, PolicyAction::kSerialize);
-}
-
-TEST(KarmaPolicy, HopelessCausesSkipThePriorityGame) {
-  auto p = MakeKarmaPolicy(KarmaPolicyParams{});
-  // Waiting cannot make capacity or syscall aborts succeed; no karma to earn.
-  p->OnBlockStart(0);
-  EXPECT_EQ(p->OnAbort(0, AbortCause::kCapacity).action, PolicyAction::kSerialize);
-  p->OnBlockStart(0);
-  EXPECT_EQ(p->OnAbort(0, AbortCause::kSyscall).action, PolicyAction::kSerialize);
-}
-
-TEST(KarmaPolicy, TransientsNeitherWaitNorEarnKarma) {
-  KarmaPolicyParams params;
-  params.serialize_threshold = 2;
-  auto p = MakeKarmaPolicy(params);
-  p->OnBlockStart(0);
-  for (int i = 0; i < 20; ++i) {
-    EXPECT_EQ(p->OnAbort(0, AbortCause::kPageFault).action, PolicyAction::kRetryNow);
-    EXPECT_EQ(p->OnAbort(0, AbortCause::kInterrupt).action, PolicyAction::kRetryNow);
-  }
-  // The full threshold is still available afterwards.
-  EXPECT_EQ(p->OnAbort(0, AbortCause::kContention).action, PolicyAction::kBackoffRetry);
-  EXPECT_EQ(p->OnAbort(0, AbortCause::kContention).action, PolicyAction::kSerialize);
-}
-
-TEST(KarmaPolicy, CommitSpendsTheAccumulatedPriority) {
-  KarmaPolicyParams params;
-  params.serialize_threshold = 2;
-  auto p = MakeKarmaPolicy(params);
-  EXPECT_EQ(RetriesUntilSerialize(*p, 0, AbortCause::kContention), 1u);
-  // A new block starts from zero karma, not from the spent threshold.
-  EXPECT_EQ(RetriesUntilSerialize(*p, 0, AbortCause::kContention), 1u);
-}
-
-// --- GreedyPolicy ------------------------------------------------------------
-
-TEST(GreedyPolicy, OldestActiveBlockSerializesAtOnce) {
-  auto p = MakeGreedyPolicy(GreedyPolicyParams{});
-  p->OnBlockStart(0);  // The oldest active stamp: priority on first abort.
-  p->OnBlockStart(1);
-  EXPECT_EQ(p->OnAbort(0, AbortCause::kContention).action, PolicyAction::kSerialize);
-}
-
-TEST(GreedyPolicy, YoungerBlockBacksOffWithinItsBudget) {
-  GreedyPolicyParams params;
-  params.max_retries = 2;
-  auto p = MakeGreedyPolicy(params);
-  p->OnBlockStart(0);  // Older.
-  p->OnBlockStart(1);  // Younger: must yield to thread 0's age...
-  EXPECT_EQ(p->OnAbort(1, AbortCause::kContention).action, PolicyAction::kBackoffRetry);
-  EXPECT_EQ(p->OnAbort(1, AbortCause::kContention).action, PolicyAction::kBackoffRetry);
-  // ...but not forever: budget exhaustion still reaches the fallback, so
-  // even the perpetually-youngest block's losses stay bounded.
-  EXPECT_EQ(p->OnAbort(1, AbortCause::kContention).action, PolicyAction::kSerialize);
-}
-
-TEST(GreedyPolicy, PriorityPassesWhenTheOlderBlockMovesOn) {
-  auto p = MakeGreedyPolicy(GreedyPolicyParams{});
-  p->OnBlockStart(0);
-  p->OnBlockStart(1);
-  EXPECT_EQ(p->OnAbort(1, AbortCause::kContention).action, PolicyAction::kBackoffRetry);
-  // Thread 0 commits and starts its next block: its fresh stamp is now the
-  // youngest, so thread 1 holds the oldest active stamp and wins at once.
-  p->OnBlockStart(0);
-  EXPECT_EQ(p->OnAbort(1, AbortCause::kContention).action, PolicyAction::kSerialize);
-}
-
-TEST(GreedyPolicy, LoneBlockIsOldestByDefinition) {
-  auto p = MakeGreedyPolicy(GreedyPolicyParams{});
-  p->OnBlockStart(0);
-  EXPECT_EQ(p->OnAbort(0, AbortCause::kContention).action, PolicyAction::kSerialize);
-}
-
-TEST(GreedyPolicy, HopelessAndTransientShortCircuitTheStampOrder) {
-  auto p = MakeGreedyPolicy(GreedyPolicyParams{});
-  p->OnBlockStart(0);
-  p->OnBlockStart(1);
-  // Transients retry free regardless of age; hopeless causes serialize even
-  // the youngest block (waiting cannot help).
-  EXPECT_EQ(p->OnAbort(1, AbortCause::kInterrupt).action, PolicyAction::kRetryNow);
-  EXPECT_EQ(p->OnAbort(1, AbortCause::kCapacity).action, PolicyAction::kSerialize);
-}
-
 // --- Factory -----------------------------------------------------------------
 
 TEST(MakeContentionPolicy, BuildsEveryNamedPolicy) {
-  for (const std::string& name : ContentionPolicyNames()) {
-    std::string error;
-    auto p = MakeContentionPolicy(name, 42, &error);
-    ASSERT_NE(p, nullptr) << name << ": " << error;
-    EXPECT_EQ(p->name(), name);
-  }
+  std::string error;
+  std::optional<ExpBackoffParams> exp = MakeContentionPolicy("exp-backoff", &error);
+  ASSERT_TRUE(exp.has_value()) << error;
+  // A bare spec is the ExpBackoffParams defaults (kAsfTmBackoff).
+  EXPECT_EQ(exp->base_cycles, ExpBackoffParams{}.base_cycles);
+  EXPECT_EQ(exp->shift_cap, ExpBackoffParams{}.shift_cap);
+  EXPECT_EQ(exp->max_retries, ExpBackoffParams{}.max_retries);
+  EXPECT_EQ(exp->capacity_serializes, ExpBackoffParams{}.capacity_serializes);
+  EXPECT_EQ(exp->seed_stride, ExpBackoffParams{}.seed_stride);
+
+  std::optional<ExpBackoffParams> none = MakeContentionPolicy("no-backoff", &error);
+  ASSERT_TRUE(none.has_value()) << error;
+  EXPECT_EQ(none->base_cycles, 0u);
+  EXPECT_EQ(none->max_retries, UINT32_MAX);
+  EXPECT_FALSE(none->capacity_serializes);
 }
 
 TEST(MakeContentionPolicy, ExpBackoffOptionsAreHonored) {
-  std::string error;
-  auto p = MakeContentionPolicy("exp-backoff:base=32,cap=2,retries=1,capacity-serial=0", 7,
-                                &error);
-  ASSERT_NE(p, nullptr) << error;
-  p->OnBlockStart(0);
+  ContentionPolicy p = FromSpec("exp-backoff:base=32,cap=2,retries=1,capacity-serial=0");
+  p.OnBlockStart(0);
   // capacity-serial=0: capacity is counted, and retries=1 grants one retry.
-  PolicyDecision d = p->OnAbort(0, AbortCause::kCapacity);
+  PolicyDecision d = p.OnAbort(0, AbortCause::kCapacity);
   EXPECT_EQ(d.action, PolicyAction::kBackoffRetry);
   // base=32, cap=2, first retry: wait in [16, 64].
   EXPECT_GE(d.backoff_cycles, 16u);
   EXPECT_LE(d.backoff_cycles, 64u);
-  EXPECT_EQ(p->OnAbort(0, AbortCause::kCapacity).action, PolicyAction::kSerialize);
+  EXPECT_EQ(p.OnAbort(0, AbortCause::kCapacity).action, PolicyAction::kSerialize);
 }
 
-TEST(MakeContentionPolicy, CappedRetryHonorsRetriesOption) {
-  auto p = MakeContentionPolicy("capped-retry:retries=2", 7);
-  ASSERT_NE(p, nullptr);
-  EXPECT_EQ(RetriesUntilSerialize(*p, 0, AbortCause::kContention), 2u);
-}
-
-TEST(MakeContentionPolicy, KarmaAndGreedyOptionsAreHonored) {
-  std::string error;
-  auto karma = MakeContentionPolicy("karma:threshold=2", 7, &error);
-  ASSERT_NE(karma, nullptr) << error;
-  EXPECT_EQ(RetriesUntilSerialize(*karma, 0, AbortCause::kContention), 1u);
-
-  auto greedy = MakeContentionPolicy("greedy:retries=1", 7, &error);
-  ASSERT_NE(greedy, nullptr) << error;
-  greedy->OnBlockStart(0);
-  greedy->OnBlockStart(1);  // Younger: retries=1 grants exactly one wait.
-  EXPECT_EQ(greedy->OnAbort(1, AbortCause::kContention).action, PolicyAction::kBackoffRetry);
-  EXPECT_EQ(greedy->OnAbort(1, AbortCause::kContention).action, PolicyAction::kSerialize);
+TEST(MakeContentionPolicy, RejectsRetiredPolicies) {
+  for (const char* name : {"serialize", "capped-retry", "adaptive", "karma", "greedy"}) {
+    std::string error;
+    EXPECT_FALSE(MakeContentionPolicy(name, &error).has_value()) << name;
+    EXPECT_EQ(error, std::string("unknown contention policy '") + name + "'");
+  }
 }
 
 TEST(MakeContentionPolicy, RejectsMalformedSpecs) {
@@ -420,22 +237,20 @@ TEST(MakeContentionPolicy, RejectsMalformedSpecs) {
   };
   const Case cases[] = {
       {"bogus", "unknown contention policy 'bogus'"},
-      {"serialize:x=1", "'serialize' takes no options"},
       {"no-backoff:x=1", "'no-backoff' takes no options"},
       {"exp-backoff:base", "malformed policy option 'base'"},
       {"exp-backoff:base=xy", "bad policy option value in 'base=xy'"},
       {"exp-backoff:bogus=1", "unknown policy option 'bogus'"},
-      {"adaptive:window=0", "adaptive window must be >= 1"},
   };
   for (const Case& c : cases) {
     std::string error;
-    EXPECT_EQ(MakeContentionPolicy(c.spec, 1, &error), nullptr) << c.spec;
+    EXPECT_FALSE(MakeContentionPolicy(c.spec, &error).has_value()) << c.spec;
     EXPECT_EQ(error, c.message) << c.spec;
   }
 }
 
 TEST(MakeContentionPolicy, ErrorPointerIsOptional) {
-  EXPECT_EQ(MakeContentionPolicy("bogus", 1, nullptr), nullptr);
+  EXPECT_FALSE(MakeContentionPolicy("bogus", nullptr).has_value());
 }
 
 }  // namespace

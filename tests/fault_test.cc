@@ -241,7 +241,7 @@ TEST(AsfTmRouting, TransientCausesRetryInHardwareWithoutBackoff) {
   // backoff, no retry budget, never serial.
   for (const char* cause : {"interrupt", "pagefault"}) {
     asftm::AsfTmParams params;
-    params.policy = asftm::MakeExpBackoffPolicy({.max_retries = 2, .seed = 0x5EED});
+    params.policy = {.max_retries = 2};
     asftm::TxStats s =
         RunAsfTmUnderFaults(std::string("at ") + cause + " attempt=1 every=1 max=3\n", params);
     EXPECT_EQ(s.tx_started, 1u) << cause;
@@ -259,7 +259,7 @@ TEST(AsfTmRouting, ContentionClassCausesBackoffThenSerialize) {
   // mode (where no ASF region exists for the injector to abort).
   for (const char* cause : {"contention", "disallowed", "syscall"}) {
     asftm::AsfTmParams params;
-    params.policy = asftm::MakeExpBackoffPolicy({.max_retries = 2, .seed = 0x5EED});
+    params.policy = {.max_retries = 2};
     asftm::TxStats s =
         RunAsfTmUnderFaults(std::string("at ") + cause + " attempt=1 every=1\n", params);
     EXPECT_EQ(s.hw_attempts, 3u) << cause;  // Budget of 2 retries + first try.
@@ -284,8 +284,7 @@ TEST(AsfTmRouting, CapacityRetriesWhenSerializationDisabled) {
   // The "retry and hope" ablation: capacity counts against the retry budget
   // like contention.
   asftm::AsfTmParams params;
-  params.policy = asftm::MakeExpBackoffPolicy(
-      {.max_retries = 2, .capacity_serializes = false, .seed = 0x5EED});
+  params.policy = {.max_retries = 2, .capacity_serializes = false};
   asftm::TxStats s = RunAsfTmUnderFaults("at capacity attempt=1 every=1\n", params);
   EXPECT_EQ(s.hw_attempts, 3u);
   EXPECT_EQ(s.Aborts(AbortCause::kCapacity), 3u);
@@ -294,19 +293,19 @@ TEST(AsfTmRouting, CapacityRetriesWhenSerializationDisabled) {
 }
 
 TEST(AsfTmRouting, PluggedPolicyOverridesTheDefault) {
-  // An immediate-serialize policy turns the counted path into a first-abort
-  // fallback; the runtime obeys the plugged policy, not its default.
+  // A zero retry budget turns the counted path into a first-abort fallback;
+  // the runtime obeys the plugged policy, not its default.
   asftm::AsfTmParams params;
-  params.policy = asftm::MakeImmediateSerializePolicy();
+  params.policy.max_retries = 0;
   asftm::TxStats s = RunAsfTmUnderFaults("at syscall attempt=1 every=1\n", params);
   EXPECT_EQ(s.hw_attempts, 1u);
   EXPECT_EQ(s.Aborts(AbortCause::kSyscall), 1u);
   EXPECT_EQ(s.serial_commits, 1u);
 
-  // And a no-backoff policy keeps retrying in hardware until the injection
+  // And the no-backoff preset keeps retrying in hardware until the injection
   // rule runs out — it never serializes.
   asftm::AsfTmParams stubborn;
-  stubborn.policy = asftm::MakeNoBackoffPolicy();
+  stubborn.policy = asftm::kNoBackoff;
   asftm::TxStats s2 = RunAsfTmUnderFaults("at contention attempt=1 every=1 max=5\n", stubborn);
   EXPECT_EQ(s2.hw_attempts, 6u);
   EXPECT_EQ(s2.hw_commits, 1u);

@@ -4,9 +4,9 @@
 // on every runtime and hardware variant, prune/no-prune outcome-set
 // equivalence, the requester-wins mutation check (the harness must lose its
 // green light when the machine loses strong isolation), serial-fallback
-// irrevocability across the fallback runtimes, and the progress pins for the
-// karma/greedy priority policies under an adversary that provably starves
-// the no-backoff control.
+// irrevocability across the fallback runtimes, policy specs that name the
+// default enumerating exactly like it, and the progress pin for exp-backoff
+// under an adversary that provably starves the no-backoff control.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -63,6 +63,22 @@ TEST(LitmusHarness, EnumerationIsDeterministicPerSeed) {
     EXPECT_EQ(a.pruned_branches, b.pruned_branches) << a.runtime;
     EXPECT_EQ(a.bounded_branches, b.bounded_branches) << a.runtime;
     EXPECT_EQ(a.outcomes, b.outcomes) << a.runtime;
+  }
+}
+
+// A spec naming ASF-TM's default policy must enumerate exactly like the
+// default: every interleaving's runtime owns fresh policy state seeded from
+// its rng_seed, so a replayed prefix sees the waits its recording run saw.
+TEST(LitmusHarness, DefaultPolicySpecEnumeratesLikeTheDefault) {
+  for (const LitmusTest* test : AllTests()) {
+    LitmusConfig spec = ConfigFor(RuntimeKind::kAsfTm);
+    spec.policy = "exp-backoff";
+    LitmusResult a = RunLitmus(*test, ConfigFor(RuntimeKind::kAsfTm));
+    LitmusResult b = RunLitmus(*test, spec);
+    EXPECT_EQ(a.interleavings, b.interleavings) << a.test;
+    EXPECT_EQ(a.decision_points, b.decision_points) << a.test;
+    EXPECT_EQ(a.pruned_branches, b.pruned_branches) << a.test;
+    EXPECT_EQ(a.outcomes, b.outcomes) << a.test;
   }
 }
 
@@ -215,7 +231,7 @@ TEST(LitmusHarness, SerialFallbackIsIrrevocableOnEveryFallbackRuntime) {
 // An always-winning conflicting probe aimed at core 0's first access: core 1
 // runs undisturbed, so a policy without a fallback loses every race while
 // the rest of the machine commits — the constructed starvation from
-// fault_test.cc, reused here to pin the PRIORITY policies' guarantee.
+// fault_test.cc, reused here to pin the fallback's progress guarantee.
 harness::StressConfig SniperConfig(const std::string& policy) {
   harness::StressConfig cfg;
   cfg.intset.structure = "list";
@@ -245,22 +261,13 @@ TEST(ProgressGuarantee, SniperProvablyStarvesTheNoBackoffControl) {
   EXPECT_TRUE(r.invariant_violation.empty()) << r.invariant_violation;
 }
 
-TEST(ProgressGuarantee, KarmaEscapesTheScheduleThatStarvesNoBackoff) {
-  harness::StressResult r = harness::RunStress(SniperConfig("karma"));
+TEST(ProgressGuarantee, ExpBackoffEscapesTheScheduleThatStarvesNoBackoff) {
+  harness::StressResult r = harness::RunStress(SniperConfig("exp-backoff"));
   EXPECT_FALSE(r.watchdog_fired) << r.watchdog_diagnosis;
   EXPECT_EQ(r.progress.verdict, Watchdog::Verdict::kProgress);
   EXPECT_TRUE(r.progress.starved_cores.empty());
   EXPECT_TRUE(r.invariant_violation.empty()) << r.invariant_violation;
   // The escape hatch is the serial-irrevocable fallback, not luck.
-  EXPECT_GT(r.intset.tm.serial_commits, 0u);
-}
-
-TEST(ProgressGuarantee, GreedyEscapesTheScheduleThatStarvesNoBackoff) {
-  harness::StressResult r = harness::RunStress(SniperConfig("greedy"));
-  EXPECT_FALSE(r.watchdog_fired) << r.watchdog_diagnosis;
-  EXPECT_EQ(r.progress.verdict, Watchdog::Verdict::kProgress);
-  EXPECT_TRUE(r.progress.starved_cores.empty());
-  EXPECT_TRUE(r.invariant_violation.empty()) << r.invariant_violation;
   EXPECT_GT(r.intset.tm.serial_commits, 0u);
 }
 

@@ -9,6 +9,7 @@
 #include <array>
 #include <cstdint>
 
+#include "src/common/digest.h"
 #include "src/harness/experiment.h"
 #include "src/obs/tx_event.h"
 
@@ -38,12 +39,7 @@ class DigestSink final : public asfobs::TxEventSink {
     ++events;
   }
 
-  void Mix(uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      hash ^= (v >> (8 * i)) & 0xFF;
-      hash *= 0x100000001B3ull;
-    }
-  }
+  void Mix(uint64_t v) { hash = asfcommon::FnvMix(hash, v); }
 
   void MixStats(const asftm::TxStats& s) {
     for (uint64_t v : {s.tx_started, s.hw_attempts, s.stm_attempts, s.serial_attempts,
@@ -56,7 +52,7 @@ class DigestSink final : public asfobs::TxEventSink {
     }
   }
 
-  uint64_t hash = 0xCBF29CE484222325ull;
+  uint64_t hash = asfcommon::kFnvOffset;
   uint64_t events = 0;
   std::array<uint64_t, static_cast<size_t>(TxMode::kNumModes)> transitions_to{};
 };

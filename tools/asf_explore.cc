@@ -60,8 +60,8 @@ void Usage() {
       "                          window (open in ui.perfetto.dev; tools/trace_report)\n"
       "           --report PATH  write the run's config+result as JSON\n"
       "  intset:  --structure list|list-er|skip|rb|hash  --range N  --update PCT  --ops N\n"
-      "           --policy SPEC  contention policy (e.g. exp-backoff:retries=4,\n"
-      "                          capped-retry, serialize, adaptive, no-backoff)\n"
+      "           --policy SPEC  contention policy: exp-backoff[:base=,cap=,retries=,\n"
+      "                          capacity-serial=] or no-backoff\n"
       "           --schedule S   run under a fault schedule (built-in name or @file;\n"
       "                          built-ins: none, interrupt-heavy, capacity-heavy,\n"
       "                          adversarial-contention) and report the stress summary\n"

@@ -20,6 +20,7 @@
 
 #include "src/common/table.h"
 #include "src/fault/watchdog.h"
+#include "src/harness/sweep.h"
 #include "src/obs/export.h"
 #include "src/obs/heatmap.h"
 #include "src/obs/json.h"
@@ -38,19 +39,15 @@ struct Options {
 // Largest --jobs operand the parser accepts.
 constexpr uint32_t kMaxJobs = 1024;
 
-// Resolves a 0 ("auto") job-count operand to the host's hardware
-// concurrency, clamped to [1, kMaxJobs] so an odd topology report cannot
-// exceed the flag's documented range. Every bench resolves at parse time, so
-// the JSON report header always records the concrete fan-out that actually
-// ran.
+// Resolves a 0 ("auto") job-count operand to harness::DefaultJobs(),
+// clamped to kMaxJobs so an odd topology report cannot exceed the flag's
+// documented range. Every bench resolves at parse time, so the JSON report
+// header always records the concrete fan-out that actually ran.
 inline uint32_t ResolveAutoJobs(uint32_t requested) {
   if (requested != 0) {
     return requested;
   }
-  uint32_t n = std::thread::hardware_concurrency();
-  if (n == 0) {
-    n = 1;
-  }
+  const uint32_t n = harness::DefaultJobs();
   return n > kMaxJobs ? kMaxJobs : n;
 }
 

@@ -68,9 +68,9 @@ add_test(NAME perf_selfcheck_baseline
 set_tests_properties(perf_selfcheck_baseline PROPERTIES LABELS "perf")
 
 # Gate-equivalence smoke: the fig5 slice must produce identical digests with
-# the conflict directory's active-speculator gate force-disabled (same toggle
-# as the ASF_NO_SPECULATOR_GATE env var) — the gated fast path may never
-# change simulated results.
+# the conflict directory's active-speculator gate force-disabled
+# (asf::SetSpeculatorGateDisabled) — the gated fast path may never change
+# simulated results.
 add_test(NAME perf_smoke
          COMMAND perf_selfcheck --quick --gate-check)
 set_tests_properties(perf_smoke PROPERTIES LABELS "perf")

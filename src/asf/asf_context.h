@@ -38,6 +38,7 @@ struct AsfContextStats {
     }
     return n;
   }
+  bool operator==(const AsfContextStats&) const = default;
 };
 
 class AsfContext {

@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <bit>
-#include <cstdlib>
 
 #include "src/fault/fault_injector.h"
 
@@ -17,7 +16,7 @@ using asfsim::SimThread;
 
 namespace {
 
-std::atomic<bool> g_speculator_gate_disabled{std::getenv("ASF_NO_SPECULATOR_GATE") != nullptr};
+std::atomic<bool> g_speculator_gate_disabled{false};
 
 }  // namespace
 

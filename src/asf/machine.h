@@ -55,13 +55,12 @@ struct MachineParams {
   bool break_requester_wins_for_testing = false;
 };
 
-// Ablation/equivalence hook (bench/perf_selfcheck --gate-check; env
-// ASF_NO_SPECULATOR_GATE=1): force-disables the conflict directory's
-// active-speculator gate and single-speculator fast path so every access
-// runs the general per-line decode. The gates are pure host-side short
-// circuits — simulated results must be bit-identical either way, which the
-// perf_smoke ctest enforces. Each Machine snapshots the setting at
-// construction.
+// Ablation/equivalence hook (bench/perf_selfcheck --gate-check): force-
+// disables the conflict directory's active-speculator gate and
+// single-speculator fast path so every access runs the general per-line
+// decode. The gates are pure host-side short circuits — simulated results
+// must be bit-identical either way, which the perf_smoke ctest enforces.
+// Each Machine snapshots the setting at construction.
 bool SpeculatorGateDisabled();
 void SetSpeculatorGateDisabled(bool disabled);
 

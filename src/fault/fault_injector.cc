@@ -10,23 +10,6 @@ using asfsim::AccessKind;
 
 namespace {
 
-// Rate rules perturb the instruction stream itself, so they fire on memory
-// accesses (including WATCH, whose probes are real coherence traffic), not on
-// the region-control ops.
-bool IsMemoryAccess(AccessKind kind) {
-  switch (kind) {
-    case AccessKind::kLoad:
-    case AccessKind::kStore:
-    case AccessKind::kTxLoad:
-    case AccessKind::kTxStore:
-    case AccessKind::kWatchR:
-    case AccessKind::kWatchW:
-      return true;
-    default:
-      return false;
-  }
-}
-
 // Whether an injected `cause` has any effect on a core that is not inside a
 // speculative region. Interrupts and page faults still get serviced (latency
 // only); the region-only causes have no non-speculative analog.
@@ -75,9 +58,11 @@ InjectionOutcome FaultInjector::OnAccess(uint32_t core, AccessKind kind, bool re
     bool fire = false;
     switch (rule.trigger) {
       case Trigger::kRate:
-        // Draw only when the rule could fire here: memory access, and either
-        // an active region to abort or a cause with a latency-only effect.
-        if (IsMemoryAccess(kind) && (region_active || AppliesOutsideRegion(rule.cause))) {
+        // Draw only when the rule could fire here: memory access (rate rules
+        // perturb the instruction stream, not the region-control ops), and
+        // either an active region to abort or a cause with a latency-only
+        // effect.
+        if (asfsim::IsMemoryAccess(kind) && (region_active || AppliesOutsideRegion(rule.cause))) {
           fire = rng_.NextDouble() < rule.rate;
         }
         break;

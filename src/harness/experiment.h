@@ -18,7 +18,6 @@
 #include "src/intset/int_set.h"
 #include "src/obs/heatmap.h"
 #include "src/obs/latency.h"
-#include "src/obs/metrics.h"
 #include "src/obs/tx_event.h"
 #include "src/sim/trace.h"
 #include "src/tm/contention_policy.h"
@@ -34,9 +33,6 @@ namespace harness {
 struct ObsHooks {
   asfsim::Tracer* tracer = nullptr;        // Memory ops + cycle spans.
   asfobs::TxEventSink* tx_sink = nullptr;  // Transaction lifecycle events.
-  // Conflict-directory telemetry is folded into this registry at the end of
-  // the run (asfobs::RecordConflictDirectory, "conflict_directory.*").
-  asfobs::MetricsRegistry* metrics = nullptr;
 };
 
 enum class RuntimeKind {
@@ -90,6 +86,7 @@ struct CycleBreakdown {
     return n;
   }
   uint64_t At(asfsim::CycleCategory c) const { return cycles[static_cast<size_t>(c)]; }
+  bool operator==(const CycleBreakdown&) const = default;
 };
 
 // Host-side simulator-performance counters for a whole run (zero simulated
@@ -109,6 +106,8 @@ struct HostPerf {
   uint64_t dir_solo_fast_paths = 0; // Single-speculator short circuit taken.
   uint64_t dir_probes = 0;          // Directory line lookups.
   uint64_t dir_probe_hits = 0;      // Lookups that found a record.
+
+  bool operator==(const HostPerf&) const = default;
 };
 
 struct IntsetResult {

@@ -7,6 +7,8 @@ namespace harness {
 
 using asfobs::JsonWriter;
 
+namespace {
+
 void WriteTxStats(JsonWriter& w, const asftm::TxStats& tm) {
   w.BeginObject();
   w.KV("txStarted", tm.tx_started);
@@ -41,6 +43,8 @@ void WriteBreakdown(JsonWriter& w, const CycleBreakdown& breakdown) {
   w.KV("total", breakdown.Total());
   w.EndObject();
 }
+
+}  // namespace
 
 void WriteIntsetReport(JsonWriter& w, const IntsetConfig& cfg, const IntsetResult& r) {
   w.BeginObject();

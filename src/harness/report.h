@@ -19,10 +19,6 @@ void WriteIntsetReport(asfobs::JsonWriter& w, const IntsetConfig& cfg, const Int
 void WriteStampReport(asfobs::JsonWriter& w, const std::string& app, const StampConfig& cfg,
                       const StampResult& r);
 
-// Shared pieces, also used by the bench reports.
-void WriteTxStats(asfobs::JsonWriter& w, const asftm::TxStats& tm);
-void WriteBreakdown(asfobs::JsonWriter& w, const CycleBreakdown& breakdown);
-
 // Standalone single-run documents.
 std::string IntsetReportJson(const IntsetConfig& cfg, const IntsetResult& r);
 std::string StampReportJson(const std::string& app, const StampConfig& cfg,

@@ -1,9 +1,9 @@
 // Copyright (c) 2026 The asf-tm-stack Authors. All rights reserved.
 #include "src/harness/stamp_driver.h"
 
-#include "src/fault/fault_injector.h"
-#include "src/harness/run_threads.h"
-#include "src/sim/sync.h"
+#include <utility>
+
+#include "src/harness/measured_run.h"
 #include "src/stamp/genome.h"
 #include "src/stamp/intruder.h"
 #include "src/stamp/kmeans.h"
@@ -14,7 +14,6 @@
 namespace harness {
 
 using asfsim::SimThread;
-using asfsim::Task;
 
 std::unique_ptr<stamp::StampApp> MakeStampApp(const std::string& name) {
   if (name == "genome") {
@@ -54,81 +53,34 @@ const std::vector<std::string>& StampAppNames() {
 }
 
 StampResult RunStamp(stamp::StampApp& app, const StampConfig& cfg) {
-  ASF_CHECK(cfg.threads >= 1 && cfg.threads <= 8);
-  asf::MachineParams mp = PaperMachineParams(cfg.variant, cfg.threads, cfg.timer_interrupts);
-  asf::Machine m(mp);
-  if (cfg.obs.tracer != nullptr) {
-    m.scheduler().SetTracer(cfg.obs.tracer);
-  }
   // Fault schedules work on STAMP exactly as on the intset stress harness:
   // the injector strikes per access and the machine emits kFaultInjected.
-  asffault::FaultInjector injector(cfg.schedule, m.scheduler().num_cores());
-  if (!cfg.schedule.empty()) {
-    m.SetFaultInjector(&injector);
-  }
-  asfobs::LatencyRecorder latency_rec;
-  asfobs::HeatmapRecorder heatmap_rec;
-  if (cfg.collect_latency) {
-    latency_rec.SetNext(&heatmap_rec);
-    heatmap_rec.SetNext(cfg.obs.tx_sink);
-    m.SetTxSink(&latency_rec);
-  } else if (cfg.obs.tx_sink != nullptr) {
-    m.SetTxSink(cfg.obs.tx_sink);
-  }
+  MeasuredRun run(PaperMachineParams(cfg.variant, cfg.threads, cfg.timer_interrupts), cfg.obs,
+                  cfg.collect_latency, cfg.schedule);
+  asf::Machine& m = run.machine();
   IntsetConfig rt_cfg;  // Runtime construction shares the intset factory.
   rt_cfg.seed = cfg.seed;
   auto rt = MakeRuntime(cfg.runtime, m, rt_cfg);
   app.Setup(m, cfg.threads, cfg.seed, cfg.scale);
+  run.Run(
+      *rt, cfg.threads,
+      [&](SimThread& t, uint32_t tid) { return app.SimSetup(*rt, t, tid); },
+      [&](SimThread& t, uint32_t tid) { return app.Worker(*rt, t, tid); });
 
-  asfsim::SimBarrier barrier_a(cfg.threads);
-  asfsim::SimBarrier barrier_b(cfg.threads);
-  uint64_t measure_start = 0;
+  IntsetResult common = run.Collect();
   StampResult result;
-
-  RunThreads(m, cfg.threads, [&](SimThread& t, uint32_t tid) -> Task<void> {
-    co_await app.SimSetup(*rt, t, tid);
-    co_await barrier_a.Arrive(t);
-    if (tid == 0) {
-      rt->ResetStats();
-      for (uint32_t c = 0; c < m.scheduler().num_cores(); ++c) {
-        m.scheduler().core(c).ResetStats();
-        m.context(c).ResetStats();
-      }
-      m.mem().ResetStats();
-      m.conflict_directory().ResetStats();
-      injector.ResetCounts();
-      if (cfg.obs.tracer != nullptr) {
-        cfg.obs.tracer->Clear();
-      }
-      if (m.tx_sink() != nullptr) {
-        m.tx_sink()->OnMeasurementReset();
-      }
-      measure_start = t.core().clock();
-    }
-    co_await barrier_b.Arrive(t);
-    co_await app.Worker(*rt, t, tid);
-  });
-
-  result.exec_cycles = m.scheduler().MaxCycle() - measure_start;
+  result.exec_cycles = common.measure_cycles;
   result.exec_ms = static_cast<double>(result.exec_cycles) /
                    (static_cast<double>(asfcommon::kCyclesPerMicrosecond) * 1000.0);
-  result.tm = rt->TotalStats();
+  result.tm = common.tm;
+  result.breakdown = common.breakdown;
+  result.latency = std::move(common.latency);
+  result.heatmap = std::move(common.heatmap);
   result.mem = m.mem().TotalStats();
   for (uint32_t c = 0; c < m.scheduler().num_cores(); ++c) {
-    for (size_t cat = 0; cat < result.breakdown.cycles.size(); ++cat) {
-      result.breakdown.cycles[cat] +=
-          m.scheduler().core(c).CategoryCycles(static_cast<asfsim::CycleCategory>(cat));
-    }
     result.work_cycles += m.scheduler().core(c).total_work_cycles();
   }
-  for (size_t c = 0; c < result.injected.size(); ++c) {
-    result.injected[c] = injector.injected(static_cast<asfcommon::AbortCause>(c));
-  }
-  result.total_injected = injector.total_injected();
-  if (cfg.collect_latency) {
-    result.latency = latency_rec.stats();
-    result.heatmap = heatmap_rec.stats();
-  }
+  run.CollectInjected(&result.injected, &result.total_injected);
   result.validation = app.Validate();
   return result;
 }

@@ -39,9 +39,6 @@ struct StressConfig {
   // Faults to inject (asffault::FaultSchedule::Lookup for the built-ins).
   asffault::FaultSchedule schedule;
   asffault::WatchdogParams watchdog;
-  // Host-side verification of final membership against the op log (the
-  // linearizability check). Costs no simulated cycles.
-  bool verify_membership = true;
 };
 
 struct StressResult {

@@ -38,14 +38,6 @@ void ParallelFor(uint32_t jobs, size_t n, const std::function<void(size_t)>& fn)
   }
 }
 
-asftm::TxStats MergeTxStats(const std::vector<IntsetResult>& results) {
-  asftm::TxStats total;
-  for (const IntsetResult& r : results) {
-    total.Add(r.tm);
-  }
-  return total;
-}
-
 SweepRunner::SweepRunner(uint32_t jobs) : jobs_(jobs == 0 ? DefaultJobs() : jobs) {}
 
 size_t SweepRunner::SubmitIntset(const IntsetConfig& cfg) {

@@ -4,16 +4,15 @@
 //
 // The simulator itself is strictly single-host-threaded and deterministic
 // (src/sim/scheduler.h), so parallelism lives one level up: every sweep job
-// owns its own asf::Machine, RNG state, and (if it wants one) ObsSession —
+// owns its own asf::Machine, RNG state, and (if it wants them) observers —
 // there is no shared mutable state between jobs (Scheduler::Run enforces
 // single-host-thread ownership with an atomic guard). Results land in
 // deterministic job-index order regardless of which worker ran which job,
 // so a sweep at --jobs N is byte-identical to --jobs 1, which in turn is
 // bit-for-bit the old serial loop.
 //
-// Per-job statistics (TxStats, MetricsRegistry counters) stay per-job until
-// the join; merge them afterwards (MergeTxStats below) — never share a
-// registry across running jobs.
+// Per-job results stay per-job until the join; aggregate them afterwards
+// (e.g. asftm::TxStats::Add) — never share an observer across running jobs.
 #ifndef SRC_HARNESS_SWEEP_H_
 #define SRC_HARNESS_SWEEP_H_
 
@@ -40,9 +39,6 @@ uint32_t DefaultJobs();
 // threads at all.
 void ParallelFor(uint32_t jobs, size_t n, const std::function<void(size_t)>& fn);
 
-// Post-join aggregation of per-job transaction statistics.
-asftm::TxStats MergeTxStats(const std::vector<IntsetResult>& results);
-
 // Job pool with deterministic result collection. Usage:
 //
 //   SweepRunner sweep(opt.jobs);
@@ -62,8 +58,8 @@ class SweepRunner {
 
   // Each Submit* returns an index into that family's result accessor below.
   // Configs must not carry obs hooks shared with another job; attach
-  // observers from inside a custom Submit() job instead (one session per
-  // job), or run with jobs() == 1.
+  // observers from inside a custom Submit() job instead (one per job), or
+  // run with jobs() == 1.
   size_t SubmitIntset(const IntsetConfig& cfg);
   size_t SubmitIntsetOnParams(const IntsetConfig& cfg, const asf::MachineParams& params);
   // The app is constructed inside the job (apps are single-use and must be

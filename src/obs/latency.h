@@ -73,9 +73,10 @@ struct LatencyStats {
   void Observe(uint64_t total);
   void Merge(const LatencyStats& other);
 
-  // Same contract as Histogram::Percentile: 0 when empty; the bound of the
-  // bucket holding rank round(p/100 * count) clamped to [1, count]; max()
-  // (the largest block actually seen) when the rank lands in overflow.
+  // Upper-bound estimate of the p-th percentile (0 < p <= 100): 0 when
+  // empty; the bound of the bucket holding rank round(p/100 * count) clamped
+  // to [1, count]; max() (the largest block actually seen) when the rank
+  // lands in overflow, never the overflow bucket's UINT64_MAX sentinel.
   uint64_t Percentile(double p) const;
   double Mean() const { return count == 0 ? 0.0 : static_cast<double>(sum) / count; }
   // Wasted cycles as a fraction of all block cycles (0 when sum == 0).

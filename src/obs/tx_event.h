@@ -11,7 +11,9 @@
 #ifndef SRC_OBS_TX_EVENT_H_
 #define SRC_OBS_TX_EVENT_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "src/common/abort_cause.h"
 
@@ -111,6 +113,22 @@ class TxEventSink {
   // Invoked by harnesses at the measurement barrier, atomically with the
   // statistics reset: drop everything recorded during warm-up.
   virtual void OnMeasurementReset() {}
+};
+
+// The event-log sink: appends every event to a vector, cleared at the
+// measurement barrier. Offline analysis (AnalyzeTrace, the latency and
+// heatmap replays) and trace export read its events().
+class TxEventLog final : public TxEventSink {
+ public:
+  explicit TxEventLog(size_t reserve = 1 << 12) { events_.reserve(reserve); }
+
+  void OnTxEvent(const TxEvent& ev) override { events_.push_back(ev); }
+  void OnMeasurementReset() override { events_.clear(); }
+
+  const std::vector<TxEvent>& events() const { return events_; }
+
+ private:
+  std::vector<TxEvent> events_;
 };
 
 }  // namespace asfobs

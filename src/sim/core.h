@@ -38,6 +38,12 @@ constexpr bool IsTransactional(AccessKind k) {
          k == AccessKind::kWatchW;
 }
 
+// Whether `k` accesses a memory line (WATCH included: its probes are real
+// coherence traffic), as opposed to a region-control op or a system call.
+constexpr bool IsMemoryAccess(AccessKind k) {
+  return k == AccessKind::kLoad || k == AccessKind::kStore || IsTransactional(k);
+}
+
 // Cycle categories used to reproduce the paper's Table 1 / Figure 9
 // single-thread overhead breakdown.
 enum class CycleCategory : uint8_t {

@@ -366,9 +366,6 @@ class Scheduler {
   // SetTracer(nullptr) detaches everywhere.
   void SetTracer(Tracer* tracer);
 
-  // Hook invoked when a timer interrupt fires on a thread's core; returns
-  // true if an active speculative region was rolled back (the scheduler then
-  // unwinds the thread's scope). Part of AccessHandler.
   // Binds `root` to the next free core and schedules it at cycle 0.
   SimThread& Spawn(Task<void> root);
 

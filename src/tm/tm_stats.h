@@ -55,6 +55,7 @@ struct TxStats {
   }
 
   void Add(const TxStats& o);
+  bool operator==(const TxStats&) const = default;
 };
 
 }  // namespace asftm

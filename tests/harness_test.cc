@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "src/harness/experiment.h"
+#include "src/harness/stress.h"
 
 namespace harness {
 namespace {
@@ -105,6 +106,34 @@ TEST(Harness, BreakdownCoversMeasurementCycles) {
   // A TM run spends cycles in all transactional categories.
   EXPECT_GT(r.breakdown.At(asfsim::CycleCategory::kTxLoadStore), 0u);
   EXPECT_GT(r.breakdown.At(asfsim::CycleCategory::kTxStartCommit), 0u);
+}
+
+// RunStress is RunIntset's workload plus host-side additions (watchdog,
+// outcome log, conservation checks): without faults it must measure exactly
+// what RunIntset measures on the same config.
+TEST(Harness, StressWithoutFaultsMatchesRunIntset) {
+  for (RuntimeKind runtime : {RuntimeKind::kAsfTm, RuntimeKind::kTinyStm}) {
+    IntsetConfig cfg = BaseConfig();
+    cfg.structure = "list";
+    cfg.key_range = 128;
+    cfg.update_pct = 50;
+    cfg.threads = 4;
+    cfg.variant = asf::AsfVariant::Llb8();
+    cfg.runtime = runtime;
+    StressConfig sc;
+    sc.intset = cfg;
+    const StressResult stress = RunStress(sc);
+    const IntsetResult plain = RunIntset(cfg);
+    const char* name = RuntimeKindName(runtime);
+    ASSERT_TRUE(stress.invariant_violation.empty()) << name << ": " << stress.invariant_violation;
+    EXPECT_EQ(stress.total_injected, 0u) << name;
+    EXPECT_EQ(stress.intset.measure_cycles, plain.measure_cycles) << name;
+    EXPECT_EQ(stress.intset.tm, plain.tm) << name;
+    EXPECT_EQ(stress.intset.breakdown, plain.breakdown) << name;
+    EXPECT_EQ(stress.intset.asf, plain.asf) << name;
+    EXPECT_EQ(stress.intset.host, plain.host) << name;
+    EXPECT_GT(plain.host.mem_accesses, 0u) << name;
+  }
 }
 
 }  // namespace

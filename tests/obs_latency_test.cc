@@ -7,7 +7,7 @@
 //     runtime and hardware variant;
 //   * enabling collection changes no simulated result (obs-off digests);
 //   * Percentile edge cases (empty, single sample, all-overflow) follow the
-//     documented contract of obs::Histogram::Percentile.
+//     documented contract of LatencyStats::Percentile.
 #include <cstdint>
 #include <string>
 #include <unordered_map>
@@ -23,8 +23,7 @@
 #include "src/obs/heatmap.h"
 #include "src/obs/json.h"
 #include "src/obs/latency.h"
-#include "src/obs/metrics.h"
-#include "src/obs/obs_session.h"
+#include "src/obs/tx_event.h"
 
 namespace {
 
@@ -32,39 +31,12 @@ using asfobs::ComputeHeatmapFromEvents;
 using asfobs::ComputeLatencyFromEvents;
 using asfobs::HeatmapStats;
 using asfobs::LatencyStats;
-using asfobs::ObsSession;
 using asfobs::TxEvent;
 using asfobs::TxEventKind;
+using asfobs::TxEventLog;
 using asfobs::TxMode;
 
 // --- Percentile contract (satellite: overflow behavior) ---------------------
-
-TEST(Percentile, HistogramEmptyReturnsZero) {
-  asfobs::Histogram h("h", asfobs::LinearBuckets(10, 10, 2));
-  EXPECT_EQ(h.Percentile(0.0), 0u);
-  EXPECT_EQ(h.Percentile(50.0), 0u);
-  EXPECT_EQ(h.Percentile(100.0), 0u);
-}
-
-TEST(Percentile, HistogramSingleSampleReportsItsBucketAtEveryRank) {
-  asfobs::Histogram h("h", asfobs::LinearBuckets(10, 10, 4));
-  h.Observe(25);  // Bucket bound 30.
-  // Rank clamps to [1, 1]: every percentile asks for the one sample.
-  EXPECT_EQ(h.Percentile(0.0), 30u);
-  EXPECT_EQ(h.Percentile(50.0), 30u);
-  EXPECT_EQ(h.Percentile(99.9), 30u);
-}
-
-TEST(Percentile, HistogramAllOverflowReturnsObservedMaxNotSentinel) {
-  asfobs::Histogram h("h", asfobs::LinearBuckets(10, 10, 2));  // Bounds 10, 20.
-  h.Observe(1000);
-  h.Observe(5000);
-  // Every rank lands in the overflow bucket; the documented contract is to
-  // report the largest value actually seen, never UINT64_MAX.
-  EXPECT_EQ(h.Percentile(1.0), 5000u);
-  EXPECT_EQ(h.Percentile(99.0), 5000u);
-  EXPECT_LT(h.Percentile(99.0), UINT64_MAX);
-}
 
 TEST(Percentile, LatencyStatsMirrorsHistogramContract) {
   LatencyStats s;
@@ -138,19 +110,19 @@ TEST(OfflineReplay, LatencyAndHeatmapMatchOnlineAcrossRuntimes) {
       harness::RuntimeKind::kSequential,  harness::RuntimeKind::kGlobalLock,
   };
   for (harness::RuntimeKind rt : kinds) {
-    ObsSession session;
+    TxEventLog log;
     harness::IntsetConfig cfg = ContendedConfig(rt);
     if (rt == harness::RuntimeKind::kSequential) {
       cfg.threads = 1;
     }
-    cfg.obs.tx_sink = &session;
+    cfg.obs.tx_sink = &log;
     harness::IntsetResult r = harness::RunIntset(cfg);
     ASSERT_TRUE(r.invariant_violation.empty()) << r.invariant_violation;
     ASSERT_GT(r.latency.count, 0u) << harness::RuntimeKindName(rt);
 
-    // The session sits after the recorders in the sink chain, so its log is
+    // The log sits after the recorders in the sink chain, so it holds
     // exactly the event stream the recorders consumed.
-    const std::vector<TxEvent>& events = session.log().events();
+    const std::vector<TxEvent>& events = log.events();
     EXPECT_EQ(ComputeLatencyFromEvents(events), r.latency)
         << "runtime " << harness::RuntimeKindName(rt);
     EXPECT_EQ(ComputeHeatmapFromEvents(events), StripRegions(r.heatmap))
@@ -166,24 +138,24 @@ TEST(OfflineReplay, HeatmapMatchesOnlineAcrossHardwareVariants) {
       asf::AsfVariant::Llb256WithL1(),
   };
   for (const auto& variant : variants) {
-    ObsSession session;
+    TxEventLog log;
     harness::IntsetConfig cfg = ContendedConfig(harness::RuntimeKind::kAsfTm);
     cfg.variant = variant;
-    cfg.obs.tx_sink = &session;
+    cfg.obs.tx_sink = &log;
     harness::IntsetResult r = harness::RunIntset(cfg);
-    EXPECT_EQ(ComputeHeatmapFromEvents(session.log().events()), StripRegions(r.heatmap))
+    EXPECT_EQ(ComputeHeatmapFromEvents(log.events()), StripRegions(r.heatmap))
         << variant.Name();
-    EXPECT_EQ(ComputeLatencyFromEvents(session.log().events()), r.latency) << variant.Name();
+    EXPECT_EQ(ComputeLatencyFromEvents(log.events()), r.latency) << variant.Name();
   }
 }
 
 TEST(OfflineReplay, HeatmapAgreesWithBruteForceEdgeCount) {
   // Independent re-derivation: fold the kConflictEdge events with a plain
   // map, no HeatmapRecorder involved.
-  ObsSession session;
+  TxEventLog log;
   harness::IntsetConfig cfg = ContendedConfig(harness::RuntimeKind::kAsfTm);
   cfg.variant = asf::AsfVariant::Llb8();  // Small LLB: more conflicts.
-  cfg.obs.tx_sink = &session;
+  cfg.obs.tx_sink = &log;
   harness::IntsetResult r = harness::RunIntset(cfg);
   ASSERT_GT(r.heatmap.total_edges, 0u);
 
@@ -191,7 +163,7 @@ TEST(OfflineReplay, HeatmapAgreesWithBruteForceEdgeCount) {
   std::unordered_map<uint64_t, uint64_t> reader_victims;
   std::unordered_map<uint64_t, uint64_t> writer_victims;
   uint64_t total = 0;
-  for (const TxEvent& ev : session.log().events()) {
+  for (const TxEvent& ev : log.events()) {
     if (ev.kind != TxEventKind::kConflictEdge) {
       continue;
     }
@@ -214,17 +186,17 @@ TEST(OfflineReplay, HeatmapAgreesWithBruteForceEdgeCount) {
 }
 
 TEST(OfflineReplay, ExportedTraceCarriesConflictEdgesAndLatencyRoundTrips) {
-  ObsSession session;
+  TxEventLog log;
   harness::IntsetConfig cfg = ContendedConfig(harness::RuntimeKind::kAsfTm);
   cfg.variant = asf::AsfVariant::Llb8();
-  cfg.obs.tx_sink = &session;
+  cfg.obs.tx_sink = &log;
   harness::IntsetResult r = harness::RunIntset(cfg);
   ASSERT_GT(r.heatmap.total_edges, 0u);
 
   asfobs::PerfettoInput in;
   in.benchmark = "obs_latency_test";
   in.num_cores = cfg.threads;
-  in.tx_events = &session.log().events();
+  in.tx_events = &log.events();
   std::string json = asfobs::WritePerfettoTrace(in);
 
   asfobs::JsonValue doc;
@@ -233,7 +205,7 @@ TEST(OfflineReplay, ExportedTraceCarriesConflictEdgesAndLatencyRoundTrips) {
   std::vector<asfsim::CycleSpan> spans;
   std::vector<TxEvent> txs;
   ASSERT_TRUE(asfobs::LoadAsfSection(doc, &spans, &txs, &error)) << error;
-  ASSERT_EQ(txs.size(), session.log().events().size());
+  ASSERT_EQ(txs.size(), log.events().size());
 
   // The acceptance criterion: replaying the exported file reproduces the
   // online percentiles and the heatmap exactly.
@@ -242,13 +214,13 @@ TEST(OfflineReplay, ExportedTraceCarriesConflictEdgesAndLatencyRoundTrips) {
 }
 
 TEST(OfflineReplay, KeyedStatsPartitionTheAggregate) {
-  ObsSession session;
+  TxEventLog log;
   harness::IntsetConfig cfg = ContendedConfig(harness::RuntimeKind::kPhasedTm);
-  cfg.obs.tx_sink = &session;
+  cfg.obs.tx_sink = &log;
   harness::IntsetResult r = harness::RunIntset(cfg);
 
   asfobs::LatencyRecorder rec;
-  asfobs::ReplayLatency(session.log().events(), &rec);
+  asfobs::ReplayLatency(log.events(), &rec);
   EXPECT_EQ(rec.stats(), r.latency);
   uint64_t keyed_count = 0;
   uint64_t keyed_sum = 0;
@@ -309,18 +281,22 @@ TEST(ObsGate, CollectLatencyKeepsStressDigestIdentical) {
 // --- Serial and lock runtimes emit lifecycle events now ---------------------
 
 TEST(SerialRuntimes, SequentialEmitsSerialModeBlocks) {
-  ObsSession session;
+  TxEventLog log;
   harness::IntsetConfig cfg = ContendedConfig(harness::RuntimeKind::kSequential);
   cfg.threads = 1;
-  cfg.obs.tx_sink = &session;
+  cfg.obs.tx_sink = &log;
   harness::IntsetResult r = harness::RunIntset(cfg);
   EXPECT_EQ(r.latency.count, r.committed_tx);
   EXPECT_EQ(r.latency.commits_by_mode[static_cast<size_t>(TxMode::kSerial)], r.latency.count);
   EXPECT_EQ(r.latency.aborted_attempts, 0u);
   EXPECT_EQ(r.latency.wasted_cycles, 0u);
   EXPECT_EQ(r.latency.clean_blocks, r.latency.count);
-  // The session's counters agree.
-  EXPECT_EQ(session.registry().FindCounter("tx_begins")->value(), r.committed_tx);
+  // One kTxBegin per committed block: no attempt of a serial block aborts.
+  uint64_t begins = 0;
+  for (const TxEvent& ev : log.events()) {
+    begins += ev.kind == TxEventKind::kTxBegin ? 1 : 0;
+  }
+  EXPECT_EQ(begins, r.committed_tx);
 }
 
 TEST(SerialRuntimes, GlobalLockEmitsLockModeBlocks) {

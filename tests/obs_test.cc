@@ -1,9 +1,10 @@
 // Copyright (c) 2026 The asf-tm-stack Authors. All rights reserved.
-// Tests for the observability layer: metrics primitives, JSON round-trips,
-// and — the load-bearing property — that offline analysis of an exported
+// Tests for the observability layer: JSON round-trips and — the
+// load-bearing property — that offline analysis of an exported
 // trace reproduces the online cycle accounting of a full RunIntset run
 // exactly, per category, and that installing the observers changes no
 // simulated result at all.
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -13,8 +14,7 @@
 #include "src/harness/experiment.h"
 #include "src/obs/export.h"
 #include "src/obs/json.h"
-#include "src/obs/metrics.h"
-#include "src/obs/obs_session.h"
+#include "src/obs/tx_event.h"
 #include "src/sim/trace.h"
 
 namespace {
@@ -22,88 +22,14 @@ namespace {
 using asfcommon::AbortCause;
 using asfobs::AnalyzeTrace;
 using asfobs::JsonValue;
-using asfobs::ObsSession;
 using asfobs::TraceAnalysis;
+using asfobs::TxEvent;
+using asfobs::TxEventKind;
+using asfobs::TxEventLog;
+using asfobs::TxMode;
 using asfsim::CycleCategory;
 
 constexpr size_t kNumCategories = static_cast<size_t>(CycleCategory::kNumCategories);
-
-// --- Metrics primitives -----------------------------------------------------
-
-TEST(Metrics, HistogramBucketsAndStats) {
-  asfobs::Histogram h("h", asfobs::LinearBuckets(10, 10, 4));  // 10, 20, 30, 40.
-  h.Observe(5);    // <= 10.
-  h.Observe(10);   // <= 10 (bound is inclusive).
-  h.Observe(11);   // <= 20.
-  h.Observe(40);   // <= 40.
-  h.Observe(100);  // Overflow.
-  EXPECT_EQ(h.count(), 5u);
-  EXPECT_EQ(h.sum(), 5u + 10 + 11 + 40 + 100);
-  EXPECT_EQ(h.min(), 5u);
-  EXPECT_EQ(h.max(), 100u);
-  EXPECT_EQ(h.num_buckets(), 5u);
-  EXPECT_EQ(h.BucketCount(0), 2u);
-  EXPECT_EQ(h.BucketCount(1), 1u);
-  EXPECT_EQ(h.BucketCount(2), 0u);
-  EXPECT_EQ(h.BucketCount(3), 1u);
-  EXPECT_EQ(h.BucketCount(4), 1u);  // Overflow.
-  EXPECT_EQ(h.BucketBound(4), UINT64_MAX);
-  EXPECT_DOUBLE_EQ(h.Mean(), (5.0 + 10 + 11 + 40 + 100) / 5.0);
-  // Ranks 1-2 land in the first bucket (bound 10), rank 5 in overflow.
-  EXPECT_EQ(h.Percentile(20.0), 10u);
-  EXPECT_EQ(h.Percentile(100.0), 100u);  // Overflow reports max().
-  h.Reset();
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.min(), 0u);
-}
-
-TEST(Metrics, ExponentialBucketsAreStrictlyIncreasing) {
-  std::vector<uint64_t> b = asfobs::ExponentialBuckets(1, 2.0, 12);
-  ASSERT_EQ(b.size(), 12u);
-  for (size_t i = 1; i < b.size(); ++i) {
-    EXPECT_GT(b[i], b[i - 1]);
-  }
-}
-
-TEST(Metrics, RegistryIsIdempotentAndResets) {
-  asfobs::MetricsRegistry reg;
-  asfobs::Counter& c1 = reg.AddCounter("c");
-  asfobs::Counter& c2 = reg.AddCounter("c");
-  EXPECT_EQ(&c1, &c2);
-  c1.Increment(3);
-  EXPECT_EQ(reg.FindCounter("c")->value(), 3u);
-  EXPECT_EQ(reg.FindCounter("missing"), nullptr);
-  asfobs::Histogram& h = reg.AddHistogram("h", asfobs::LinearBuckets(1, 1, 4));
-  h.Observe(2);
-  reg.Reset();
-  EXPECT_EQ(c1.value(), 0u);
-  EXPECT_EQ(h.count(), 0u);
-
-  // The registry serializes to parseable JSON.
-  std::string out;
-  asfobs::JsonWriter w(&out);
-  reg.WriteJson(w);
-  JsonValue doc;
-  std::string error;
-  ASSERT_TRUE(JsonValue::Parse(out, &doc, &error)) << error;
-  ASSERT_NE(doc.Get("counters"), nullptr);
-  ASSERT_NE(doc.Get("histograms"), nullptr);
-}
-
-TEST(Metrics, RecordConflictDirectoryRegistersAndOverwrites) {
-  asfobs::MetricsRegistry reg;
-  asfobs::RecordConflictDirectory(reg, {100, 60, 10, 40, 35});
-  ASSERT_NE(reg.FindCounter("conflict_directory.resolutions"), nullptr);
-  EXPECT_EQ(reg.FindCounter("conflict_directory.resolutions")->value(), 100u);
-  EXPECT_EQ(reg.FindCounter("conflict_directory.gate_skips")->value(), 60u);
-  EXPECT_EQ(reg.FindCounter("conflict_directory.solo_fast_paths")->value(), 10u);
-  EXPECT_EQ(reg.FindCounter("conflict_directory.probes")->value(), 40u);
-  EXPECT_EQ(reg.FindCounter("conflict_directory.probe_hits")->value(), 35u);
-  // A second snapshot overwrites (no accumulation across runs).
-  asfobs::RecordConflictDirectory(reg, {7, 1, 2, 3, 4});
-  EXPECT_EQ(reg.FindCounter("conflict_directory.resolutions")->value(), 7u);
-  EXPECT_EQ(reg.FindCounter("conflict_directory.probe_hits")->value(), 4u);
-}
 
 // --- JSON writer/parser round-trip ------------------------------------------
 
@@ -162,15 +88,15 @@ harness::IntsetConfig ContendedConfig() {
 
 TEST(ObsFullStack, OfflineAnalysisMatchesOnlineBreakdownExactly) {
   asfsim::Tracer tracer;
-  ObsSession session;
+  TxEventLog log;
   harness::IntsetConfig cfg = ContendedConfig();
   cfg.obs.tracer = &tracer;
-  cfg.obs.tx_sink = &session;
+  cfg.obs.tx_sink = &log;
   harness::IntsetResult r = harness::RunIntset(cfg);
   ASSERT_TRUE(r.invariant_violation.empty()) << r.invariant_violation;
   ASSERT_GT(r.committed_tx, 0u);
 
-  TraceAnalysis a = AnalyzeTrace(tracer.spans(), session.log().events());
+  TraceAnalysis a = AnalyzeTrace(tracer.spans(), log.events());
   // The acceptance criterion: per-category cycle totals from offline trace
   // analysis match the online accounting bit for bit.
   for (size_t i = 0; i < kNumCategories; ++i) {
@@ -187,28 +113,36 @@ TEST(ObsFullStack, OfflineAnalysisMatchesOnlineBreakdownExactly) {
   }
   EXPECT_DOUBLE_EQ(a.AbortRatePercent(), r.tm.AbortRatePercent());
 
-  // The metrics adapter agrees with both.
-  asfobs::MetricsRegistry& reg = session.registry();
-  EXPECT_EQ(reg.FindCounter("tx_begins")->value(), a.total_commits + a.total_aborts);
-  EXPECT_EQ(reg.FindCounter("commits.hw")->value(), r.tm.hw_commits);
-  EXPECT_EQ(reg.FindCounter("commits.serial")->value(), r.tm.serial_commits);
-  EXPECT_EQ(reg.FindHistogram("tx_latency_cycles")->count(), a.total_commits + a.total_aborts);
-  EXPECT_EQ(reg.FindHistogram("retries_per_commit")->count(), a.total_commits);
-
-  // A committed hardware transaction protects at least one line.
-  asfobs::Histogram* rs = reg.FindHistogram("read_set_lines");
-  if (r.tm.hw_commits > 0) {
-    EXPECT_GT(rs->count(), 0u);
-    EXPECT_GT(rs->max(), 0u);
+  // Every attempt opens with one kTxBegin, and each commit event names its
+  // mode.
+  uint64_t begins = 0;
+  uint64_t hw_commits = 0;
+  uint64_t serial_commits = 0;
+  uint64_t max_hw_read_set = 0;
+  for (const TxEvent& ev : log.events()) {
+    if (ev.kind == TxEventKind::kTxBegin) {
+      ++begins;
+    } else if (ev.kind == TxEventKind::kTxCommit && ev.mode == TxMode::kHardware) {
+      ++hw_commits;
+      max_hw_read_set = std::max(max_hw_read_set, ev.arg0);
+    } else if (ev.kind == TxEventKind::kTxCommit && ev.mode == TxMode::kSerial) {
+      ++serial_commits;
+    }
   }
+  EXPECT_EQ(begins, a.total_commits + a.total_aborts);
+  EXPECT_EQ(hw_commits, r.tm.hw_commits);
+  EXPECT_EQ(serial_commits, r.tm.serial_commits);
+  // A committed hardware transaction protects at least one line.
+  ASSERT_GT(r.tm.hw_commits, 0u);
+  EXPECT_GT(max_hw_read_set, 0u);
 }
 
 TEST(ObsFullStack, ExportedTraceRoundTripsAndTotalsMatch) {
   asfsim::Tracer tracer;
-  ObsSession session;
+  TxEventLog log;
   harness::IntsetConfig cfg = ContendedConfig();
   cfg.obs.tracer = &tracer;
-  cfg.obs.tx_sink = &session;
+  cfg.obs.tx_sink = &log;
   harness::IntsetResult r = harness::RunIntset(cfg);
 
   asfobs::PerfettoInput in;
@@ -216,7 +150,7 @@ TEST(ObsFullStack, ExportedTraceRoundTripsAndTotalsMatch) {
   in.num_cores = cfg.threads;
   in.mem_events = &tracer.events();
   in.spans = &tracer.spans();
-  in.tx_events = &session.log().events();
+  in.tx_events = &log.events();
   std::string json = asfobs::WritePerfettoTrace(in);
 
   JsonValue doc;
@@ -239,7 +173,7 @@ TEST(ObsFullStack, ExportedTraceRoundTripsAndTotalsMatch) {
     EXPECT_EQ(spans[i].category, tracer.spans()[i].category);
     EXPECT_EQ(spans[i].attempt, tracer.spans()[i].attempt);
   }
-  ASSERT_EQ(txs.size(), session.log().events().size());
+  ASSERT_EQ(txs.size(), log.events().size());
 
   // The stored per-category totals equal the online CycleBreakdown exactly.
   const JsonValue* totals = doc.Get("asf")->Get("categoryTotals");
@@ -257,9 +191,9 @@ TEST(ObsFullStack, ObserversDoNotPerturbTheSimulation) {
   harness::IntsetResult bare = harness::RunIntset(cfg);
 
   asfsim::Tracer tracer;
-  ObsSession session;
+  TxEventLog log;
   cfg.obs.tracer = &tracer;
-  cfg.obs.tx_sink = &session;
+  cfg.obs.tx_sink = &log;
   harness::IntsetResult observed = harness::RunIntset(cfg);
 
   // Observers are host-side: the simulated run must be bit-identical.
@@ -307,19 +241,19 @@ TEST(ObsFullStack, MeasurementResetDropsWarmupEvents) {
   // them so the analysis sees exactly the measured window. If warm-up events
   // leaked, commits would exceed the measured committed_tx.
   asfsim::Tracer tracer;
-  ObsSession session;
+  TxEventLog log;
   harness::IntsetConfig cfg = ContendedConfig();
   cfg.obs.tracer = &tracer;
-  cfg.obs.tx_sink = &session;
+  cfg.obs.tx_sink = &log;
   harness::IntsetResult r = harness::RunIntset(cfg);
 
-  TraceAnalysis a = AnalyzeTrace(tracer.spans(), session.log().events());
+  TraceAnalysis a = AnalyzeTrace(tracer.spans(), log.events());
   EXPECT_EQ(a.total_commits, r.tm.Commits());
   // Every recorded span and event lies inside the measured window's clock
   // range (the clock is monotone and the reset happened at the barrier).
   ASSERT_FALSE(tracer.spans().empty());
   uint64_t reset_cycle = a.first_cycle;
-  for (const asfobs::TxEvent& ev : session.log().events()) {
+  for (const asfobs::TxEvent& ev : log.events()) {
     EXPECT_GE(ev.cycle, reset_cycle);
   }
 }

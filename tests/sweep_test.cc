@@ -199,27 +199,4 @@ TEST(SweepRunnerTest, HostFastPathsDoNotChangeResults) {
   }
 }
 
-TEST(SweepRunnerTest, MergeTxStatsSumsPerJobCounters) {
-  harness::SweepRunner sweep(4);
-  for (uint64_t seed : {1u, 2u, 3u}) {
-    sweep.SubmitIntset(SmallConfig("rb", 4, seed));
-  }
-  sweep.Run();
-
-  std::vector<harness::IntsetResult> results;
-  uint64_t started = 0;
-  uint64_t attempts = 0;
-  uint64_t aborts = 0;
-  for (size_t i = 0; i < 3; ++i) {
-    results.push_back(sweep.intset(i));
-    started += sweep.intset(i).tm.tx_started;
-    attempts += sweep.intset(i).tm.TotalAttempts();
-    aborts += sweep.intset(i).tm.TotalAborts();
-  }
-  asftm::TxStats merged = harness::MergeTxStats(results);
-  EXPECT_EQ(merged.tx_started, started);
-  EXPECT_EQ(merged.TotalAttempts(), attempts);
-  EXPECT_EQ(merged.TotalAborts(), aborts);
-}
-
 }  // namespace

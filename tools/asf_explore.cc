@@ -27,7 +27,7 @@
 #include "src/harness/stress.h"
 #include "src/harness/sweep.h"
 #include "src/obs/export.h"
-#include "src/obs/obs_session.h"
+#include "src/obs/tx_event.h"
 #include "src/sim/trace.h"
 
 namespace {
@@ -162,13 +162,13 @@ void PrintLatency(const asfobs::LatencyStats& s, const asfobs::HeatmapStats& hea
 
 // Writes the Perfetto trace for one observed run; returns false on I/O error.
 bool ExportTrace(const std::string& path, const std::string& benchmark, uint32_t cores,
-                 const asfsim::Tracer& tracer, const asfobs::ObsSession& session) {
+                 const asfsim::Tracer& tracer, const asfobs::TxEventLog& log) {
   asfobs::PerfettoInput in;
   in.benchmark = benchmark;
   in.num_cores = cores;
   in.mem_events = &tracer.events();
   in.spans = &tracer.spans();
-  in.tx_events = &session.log().events();
+  in.tx_events = &log.events();
   std::string error;
   if (!asfobs::WriteTextFile(path, asfobs::WritePerfettoTrace(in), &error)) {
     std::fprintf(stderr, "trace export: %s\n", error.c_str());
@@ -330,14 +330,11 @@ int main(int argc, char** argv) {
   // Observers are only attached when an export was requested; without them
   // the run is byte-identical to an unobserved one.
   asfsim::Tracer tracer;
-  asfobs::ObsSession session;
+  asfobs::TxEventLog log;
   harness::ObsHooks obs;
   if (!trace_path.empty()) {
     obs.tracer = &tracer;
-    obs.tx_sink = &session;
-    // Conflict-directory telemetry lands in the session's registry next to
-    // the lifecycle metrics ("conflict_directory.*" counters).
-    obs.metrics = &session.registry();
+    obs.tx_sink = &log;
   }
 
   if (workload == "intset") {
@@ -433,7 +430,7 @@ int main(int argc, char** argv) {
     bool ok = true;
     if (!trace_path.empty()) {
       ok = ExportTrace(trace_path, "intset-" + cfg.structure + "-" + variant.Name(), cfg.threads,
-                       tracer, session) &&
+                       tracer, log) &&
            ok;
     }
     if (!report_path.empty()) {
@@ -506,7 +503,7 @@ int main(int argc, char** argv) {
     bool ok = r.validation.empty();
     if (!trace_path.empty()) {
       ok = ExportTrace(trace_path, "stamp-" + app_name + "-" + variant.Name(), cfg.threads,
-                       tracer, session) &&
+                       tracer, log) &&
            ok;
     }
     if (!report_path.empty()) {

@@ -13,7 +13,7 @@
 //   * a per-category re-aggregation of the memory-operation events in
 //     "traceEvents", cross-checked against the stored memSummary;
 //   * the top-N contended cache lines (lines touched by more than one core),
-//     ranked by access count;
+//     ranked by memory-access count;
 //   * abort causality, when the trace carries conflict-edge events: the
 //     core-level aggression matrix (who aborts whom), wasted cycles split by
 //     abort cause, and the conflict-edge hot-line heatmap;
@@ -77,6 +77,18 @@ std::string Pct(uint64_t part, uint64_t whole) {
     return "-";
   }
   return Table::Num(100.0 * static_cast<double>(part) / static_cast<double>(whole), 2) + " %";
+}
+
+// Whether a memory-operation slice name is a memory access. Region-control
+// ops (speculate, commit, ...) are traced with address 0 and touch no line.
+bool IsMemoryAccessName(const std::string& name) {
+  for (uint8_t k = 0; k <= static_cast<uint8_t>(asfsim::AccessKind::kSyscall); ++k) {
+    const auto kind = static_cast<asfsim::AccessKind>(k);
+    if (name == asfsim::AccessKindName(kind)) {
+      return asfsim::IsMemoryAccess(kind);
+    }
+  }
+  return false;
 }
 
 // "0,3,5" from a core bitmap.
@@ -355,9 +367,11 @@ int main(int argc, char** argv) {
           mem_cycles[idx] += dur;
         }
       }
+      const JsonValue* name = ev.Get("name");
       const JsonValue* args = ev.Get("args");
       const JsonValue* addr = args != nullptr ? args->Get("addr") : nullptr;
-      if (addr != nullptr && addr->IsString()) {
+      if (name != nullptr && IsMemoryAccessName(name->AsString()) && addr != nullptr &&
+          addr->IsString()) {
         uint64_t first = std::strtoull(addr->AsString().c_str(), nullptr, 16);
         uint64_t line = asfcommon::LineOf(first);
         line_accesses[line] += 1;

@@ -31,18 +31,29 @@
 #include "src/harness/run_threads.h"
 #include "src/harness/sweep.h"
 #include "src/tm/lock_elision.h"
+#include "src/tm/tiny_stm.h"
 
 namespace {
 
-// Base-seed override from --seed; applied to every intset run of the
-// ablations so the whole study can be re-rolled with one flag.
-uint64_t g_seed = 0;
+// Study 3's library barrier: IntsetConfig::barrier_instructions for a
+// dynamically linked TM library.
+constexpr int kLibraryBarrier = 12;
 
-harness::IntsetConfig Seeded(harness::IntsetConfig cfg) {
-  if (g_seed != 0) {
-    cfg.seed = g_seed;
+// The per-barrier instruction count a study-3 row runs with, as
+// harness::MakeRuntime applies IntsetConfig::barrier_instructions: it
+// replaces the hardware runtime's inlined barrier and adds to TinySTM's
+// load/store barriers.
+std::string BarrierLabel(harness::RuntimeKind rt, int barrier) {
+  const std::string mode = barrier < 0 ? " (inlined)" : " (library)";
+  if (rt == harness::RuntimeKind::kTinyStm) {
+    const asftm::TinyStmParams p;
+    const uint32_t add = barrier < 0 ? 0 : static_cast<uint32_t>(barrier);
+    return std::to_string(p.load_instructions + add) + " load / " +
+           std::to_string(p.store_instructions + add) + " store" + mode;
   }
-  return cfg;
+  return std::to_string(barrier < 0 ? asftm::HwCosts().barrier_instructions
+                                    : static_cast<uint32_t>(barrier)) +
+         mode;
 }
 
 // Study 7 runs outside the intset harness: one elidable lock over disjoint
@@ -87,7 +98,6 @@ ElisionCell RunElisionCell(bool elide, uint64_t ops) {
 int main(int argc, char** argv) {
   benchutil::Options opt = benchutil::ParseArgs(argc, argv);
   benchutil::JsonReport report("ablation_design_choices", opt);
-  g_seed = opt.seed;
   const uint64_t ops = opt.quick ? 300 : 1200;
 
   harness::SweepRunner sweep(opt.jobs);
@@ -101,7 +111,7 @@ int main(int argc, char** argv) {
     cfg.ops_per_thread = ops;
     cfg.variant = asf::AsfVariant::Llb8();
     cfg.contention_policy = "exp-backoff:capacity-serial=" + std::to_string(serial);
-    sweep.SubmitIntset(Seeded(cfg));
+    sweep.SubmitIntset(benchutil::Seeded(cfg, opt));
   }
 
   for (int retries : {1, 4, 8, 32}) {
@@ -112,19 +122,19 @@ int main(int argc, char** argv) {
     cfg.ops_per_thread = ops;
     cfg.variant = asf::AsfVariant::Llb256();
     cfg.contention_policy = "exp-backoff:retries=" + std::to_string(retries);
-    sweep.SubmitIntset(Seeded(cfg));
+    sweep.SubmitIntset(benchutil::Seeded(cfg, opt));
   }
 
   for (auto rt : {harness::RuntimeKind::kAsfTm, harness::RuntimeKind::kTinyStm}) {
-    for (int extra : {-1, 12}) {
+    for (int barrier : {-1, kLibraryBarrier}) {
       harness::IntsetConfig cfg;
       cfg.structure = "rb";
       cfg.key_range = 1024;
       cfg.threads = 1;
       cfg.ops_per_thread = ops;
       cfg.runtime = rt;
-      cfg.barrier_instructions = extra;
-      sweep.SubmitIntset(Seeded(cfg));
+      cfg.barrier_instructions = barrier;
+      sweep.SubmitIntset(benchutil::Seeded(cfg, opt));
     }
   }
 
@@ -137,7 +147,7 @@ int main(int argc, char** argv) {
       cfg.threads = threads;
       cfg.ops_per_thread = ops;
       cfg.runtime = rt;
-      sweep.SubmitIntset(Seeded(cfg));
+      sweep.SubmitIntset(benchutil::Seeded(cfg, opt));
     }
   }
 
@@ -149,7 +159,7 @@ int main(int argc, char** argv) {
     cfg.ops_per_thread = ops;
     cfg.variant = asf::AsfVariant::Llb8();
     cfg.runtime = rt;
-    sweep.SubmitIntset(Seeded(cfg));
+    sweep.SubmitIntset(benchutil::Seeded(cfg, opt));
   }
 
   for (uint32_t ways : {2u, 4u, 8u}) {
@@ -163,7 +173,7 @@ int main(int argc, char** argv) {
     asf::MachineParams mp =
         harness::PaperMachineParams(cfg.variant, cfg.threads, cfg.timer_interrupts);
     mp.mem.l1.ways = ways;
-    sweep.SubmitIntsetOnParams(Seeded(cfg), mp);
+    sweep.SubmitIntsetOnParams(benchutil::Seeded(cfg, opt), mp);
   }
 
   ElisionCell elision[2];
@@ -180,7 +190,7 @@ int main(int argc, char** argv) {
     cfg.threads = 8;
     cfg.ops_per_thread = ops;
     cfg.variant = asf1 ? asf::AsfVariant::Asf1Llb256() : asf::AsfVariant::Llb256();
-    sweep.SubmitIntset(Seeded(cfg));
+    sweep.SubmitIntset(benchutil::Seeded(cfg, opt));
   }
 
   sweep.Run();
@@ -202,8 +212,7 @@ int main(int argc, char** argv) {
                     asfcommon::Table::Int(static_cast<long long>(
                         r.tm.Aborts(asfcommon::AbortCause::kCapacity)))});
     }
-    table.Print();
-    report.Add(table);
+    report.Print(table);
   }
 
   {
@@ -217,8 +226,7 @@ int main(int argc, char** argv) {
                         r.tm.Aborts(asfcommon::AbortCause::kContention))),
                     asfcommon::Table::Int(static_cast<long long>(r.tm.serial_commits))});
     }
-    table.Print();
-    report.Add(table);
+    report.Print(table);
   }
 
   {
@@ -227,14 +235,13 @@ int main(int argc, char** argv) {
         "dynamic library barriers");
     table.SetHeader({"runtime", "barrier-instr", "tx/us"});
     for (auto rt : {harness::RuntimeKind::kAsfTm, harness::RuntimeKind::kTinyStm}) {
-      for (int extra : {-1, 12}) {
+      for (int barrier : {-1, kLibraryBarrier}) {
         const harness::IntsetResult& r = sweep.intset(job++);
-        table.AddRow({harness::RuntimeKindName(rt), extra < 0 ? "inlined (default)" : "+12",
+        table.AddRow({harness::RuntimeKindName(rt), BarrierLabel(rt, barrier),
                       asfcommon::Table::Num(r.tx_per_us, 2)});
       }
     }
-    table.Print();
-    report.Add(table);
+    report.Print(table);
   }
 
   {
@@ -248,8 +255,7 @@ int main(int argc, char** argv) {
       }
       table.AddRow(row);
     }
-    table.Print();
-    report.Add(table);
+    report.Print(table);
   }
 
   {
@@ -266,8 +272,7 @@ int main(int argc, char** argv) {
                     asfcommon::Table::Int(static_cast<long long>(r.tm.serial_commits)),
                     asfcommon::Table::Int(static_cast<long long>(r.tm.stm_commits))});
     }
-    table.Print();
-    report.Add(table);
+    report.Print(table);
   }
 
   {
@@ -283,8 +288,7 @@ int main(int argc, char** argv) {
                         r.tm.Aborts(asfcommon::AbortCause::kCapacity))),
                     asfcommon::Table::Int(static_cast<long long>(r.tm.serial_commits))});
     }
-    table.Print();
-    report.Add(table);
+    report.Print(table);
   }
 
   {
@@ -296,8 +300,7 @@ int main(int argc, char** argv) {
                     asfcommon::Table::Num(elision[i].ops_per_us, 2),
                     asfcommon::Table::Int(static_cast<long long>(elision[i].real_acquisitions))});
     }
-    table.Print();
-    report.Add(table);
+    report.Print(table);
   }
 
   {
@@ -312,8 +315,7 @@ int main(int argc, char** argv) {
                     asfcommon::Table::Int(static_cast<long long>(r.tm.hw_commits)),
                     asfcommon::Table::Int(static_cast<long long>(r.tm.serial_commits))});
     }
-    table.Print();
-    report.Add(table);
+    report.Print(table);
   }
   return report.Write() ? 0 : 1;
 }

@@ -4,6 +4,7 @@
 #ifndef BENCH_BENCH_UTIL_H_
 #define BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -19,6 +20,7 @@
 #endif
 
 #include "src/common/table.h"
+#include "src/fault/fault_schedule.h"
 #include "src/fault/watchdog.h"
 #include "src/harness/sweep.h"
 #include "src/obs/export.h"
@@ -30,7 +32,6 @@ namespace benchutil {
 
 struct Options {
   bool quick = false;        // Reduced op counts for smoke runs.
-  bool csv = false;          // Emit CSV after the human-readable tables.
   std::string json_path;     // Write a JSON run report here (empty = off).
   uint64_t seed = 0;         // Override the benchmark's base seed (0 = keep).
   uint32_t jobs = 0;         // Host-parallel sweep jobs (0 = hardware_concurrency).
@@ -51,67 +52,82 @@ inline uint32_t ResolveAutoJobs(uint32_t requested) {
   return n > kMaxJobs ? kMaxJobs : n;
 }
 
-inline void PrintUsage(const char* prog, std::FILE* out) {
+// A flag of one bench only, parsed beside the shared ones: with `operand`
+// set it takes an operand and stores it there, otherwise it is a switch that
+// sets `*on`. `usage` is its line(s) for --help.
+struct OwnFlag {
+  const char* name;
+  std::string* operand = nullptr;
+  bool* on = nullptr;
+  const char* usage = "";
+};
+
+inline void PrintUsage(const char* prog, std::FILE* out, const std::vector<OwnFlag>& own) {
   std::fprintf(out,
-               "usage: %s [--quick] [--csv] [--json <path>] [--seed <n>] [--jobs <n>]\n"
+               "usage: %s [--quick] [--json <path>] [--seed <n>] [--jobs <n>]%s\n"
                "  --quick        reduced op counts (smoke runs)\n"
-               "  --csv          emit CSV after the human-readable tables\n"
                "  --json <path>  write a machine-readable JSON run report\n"
                "  --seed <n>     override the benchmark's base RNG seed\n"
                "  --jobs <n>     host threads for the sweep (0 or omitted = all cores;\n"
                "                 results are identical for every job count)\n",
-               prog);
+               prog, own.empty() ? "" : " [options]");
+  for (const OwnFlag& f : own) {
+    std::fputs(f.usage, out);
+  }
 }
 
-// Strict parser: unknown flags and missing operands are errors (exit 2), so
-// a typo cannot silently run the wrong configuration.
-inline Options ParseArgs(int argc, char** argv) {
+// Strict parser of the shared flags plus the bench's `own` ones: unknown
+// flags and missing operands are errors (exit 2), so a typo cannot silently
+// run the wrong configuration.
+inline Options ParseArgs(int argc, char** argv, const std::vector<OwnFlag>& own = {}) {
   Options opt;
+  auto operand = [&](int& i, const char* what) -> const char* {
+    if (i + 1 >= argc) {
+      std::fprintf(stderr, "%s: %s requires %s operand\n", argv[0], argv[i], what);
+      PrintUsage(argv[0], stderr, own);
+      std::exit(2);
+    }
+    return argv[++i];
+  };
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
+    const auto own_flag = std::find_if(own.begin(), own.end(), [&](const OwnFlag& f) {
+      return std::strcmp(argv[i], f.name) == 0;
+    });
+    if (own_flag != own.end()) {
+      if (own_flag->operand != nullptr) {
+        *own_flag->operand = operand(i, "an");
+      } else {
+        *own_flag->on = true;
+      }
+    } else if (std::strcmp(argv[i], "--quick") == 0) {
       opt.quick = true;
-    } else if (std::strcmp(argv[i], "--csv") == 0) {
-      opt.csv = true;
     } else if (std::strcmp(argv[i], "--json") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: --json requires a path operand\n", argv[0]);
-        PrintUsage(argv[0], stderr);
-        std::exit(2);
-      }
-      opt.json_path = argv[++i];
+      opt.json_path = operand(i, "a path");
     } else if (std::strcmp(argv[i], "--seed") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: --seed requires a numeric operand\n", argv[0]);
-        PrintUsage(argv[0], stderr);
-        std::exit(2);
-      }
+      const char* s = operand(i, "a numeric");
       char* end = nullptr;
-      opt.seed = std::strtoull(argv[++i], &end, 10);
-      if (end == argv[i] || *end != '\0' || opt.seed == 0) {
+      opt.seed = std::strtoull(s, &end, 10);
+      if (end == s || *end != '\0' || opt.seed == 0) {
         std::fprintf(stderr, "%s: --seed operand must be a positive integer, got '%s'\n",
-                     argv[0], argv[i]);
+                     argv[0], s);
         std::exit(2);
       }
     } else if (std::strcmp(argv[i], "--jobs") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: --jobs requires a numeric operand\n", argv[0]);
-        PrintUsage(argv[0], stderr);
-        std::exit(2);
-      }
+      const char* s = operand(i, "a numeric");
       char* end = nullptr;
-      unsigned long long jobs = std::strtoull(argv[++i], &end, 10);
-      if (end == argv[i] || *end != '\0' || jobs > kMaxJobs) {
+      unsigned long long jobs = std::strtoull(s, &end, 10);
+      if (end == s || *end != '\0' || jobs > kMaxJobs) {
         std::fprintf(stderr, "%s: --jobs operand must be an integer in [0, 1024], got '%s'\n",
-                     argv[0], argv[i]);
+                     argv[0], s);
         std::exit(2);
       }
       opt.jobs = static_cast<uint32_t>(jobs);
     } else if (std::strcmp(argv[i], "--help") == 0 || std::strcmp(argv[i], "-h") == 0) {
-      PrintUsage(argv[0], stdout);
+      PrintUsage(argv[0], stdout, own);
       std::exit(0);
     } else {
       std::fprintf(stderr, "%s: unknown argument '%s'\n", argv[0], argv[i]);
-      PrintUsage(argv[0], stderr);
+      PrintUsage(argv[0], stderr, own);
       std::exit(2);
     }
   }
@@ -120,6 +136,40 @@ inline Options ParseArgs(int argc, char** argv) {
   // way; parse-time resolution just makes the report self-describing).
   opt.jobs = ResolveAutoJobs(opt.jobs);
   return opt;
+}
+
+// Resolves a --schedule operand — a built-in name or @<file> in the DSL of
+// src/fault — to its schedule and display name (exit 2 on error).
+inline asffault::FaultSchedule LoadSchedule(const char* prog, const std::string& arg,
+                                            std::string* name) {
+  asffault::FaultSchedule schedule;
+  if (!arg.empty() && arg[0] == '@') {
+    std::string text;
+    std::string error;
+    if (!asfobs::ReadTextFile(arg.substr(1), &text, &error) ||
+        !asffault::FaultSchedule::Parse(text, &schedule, &error)) {
+      std::fprintf(stderr, "%s: %s: %s\n", prog, arg.c_str() + 1, error.c_str());
+      std::exit(2);
+    }
+    *name = arg.substr(1);
+  } else {
+    if (!asffault::FaultSchedule::Lookup(arg, &schedule)) {
+      std::fprintf(stderr, "%s: unknown built-in schedule '%s'\n", prog, arg.c_str());
+      std::exit(2);
+    }
+    *name = arg;
+  }
+  return schedule;
+}
+
+// Applies --seed to a run configuration (harness::IntsetConfig or
+// StampConfig); without the flag the configuration keeps its base seed.
+template <typename Config>
+Config Seeded(Config cfg, const Options& opt) {
+  if (opt.seed != 0) {
+    cfg.seed = opt.seed;
+  }
+  return cfg;
 }
 
 // Host CPU topology as visible to this process. `cpus` is the hardware
@@ -203,6 +253,11 @@ class JsonReport {
       return;
     }
     tables_.push_back(t);
+  }
+  // Prints `t` to stdout and adds it to the report.
+  void Print(const asfcommon::Table& t) {
+    t.Print();
+    Add(t);
   }
 
   // Structured latency / heatmap sections (beyond the string-cell tables):

@@ -36,10 +36,7 @@ int main(int argc, char** argv) {
     cfg.threads = 1;
     cfg.scale = scale;
     cfg.collect_latency = true;
-    if (opt.seed != 0) {
-      cfg.seed = opt.seed;
-    }
-    sweep.SubmitStamp(app_name, cfg);
+    sweep.SubmitStamp(app_name, benchutil::Seeded(cfg, opt));
   }
   sweep.Run();
 
@@ -67,20 +64,12 @@ int main(int argc, char** argv) {
                   asfcommon::Table::Int(static_cast<long long>(reference)),
                   asfcommon::Table::Num(deviation, 2) + " %"});
   }
-  table.Print();
-  if (opt.csv) {
-    table.PrintCsv(stdout);
-  }
-  report.Add(table);
+  report.Print(table);
 
   // Atomic-block latency of the uninstrumented sequential runs (serial-mode
   // blocks, so aborts and backoff are structurally zero).
   asfcommon::Table ltab = benchutil::LatencyTable("Sequential runs [latency]", lat);
-  ltab.Print();
-  if (opt.csv) {
-    ltab.PrintCsv(stdout);
-  }
-  report.Add(ltab);
+  report.Print(ltab);
   std::printf(
       "Note: the paper's Figure 3 reports 10-15%% deviation of PTLsim-ASF\n"
       "from native execution for five of eight applications. The reference\n"

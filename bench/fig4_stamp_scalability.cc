@@ -6,8 +6,7 @@
 // better); the "Sequential" row is the single-threaded uninstrumented run
 // (the paper's horizontal bar).
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -16,54 +15,18 @@
 #include "src/harness/stamp_driver.h"
 #include "src/harness/sweep.h"
 
-namespace {
-
-// Extracts "--schedule <name|@file>" before the shared strict parser sees
-// the remaining flags, and resolves it to a fault schedule (same syntax as
-// stress_faults: a built-in name or @<file> with the DSL of src/fault).
-asffault::FaultSchedule ExtractSchedule(int* argc, char** argv, std::string* name) {
-  asffault::FaultSchedule schedule;
-  for (int i = 1; i < *argc; ++i) {
-    if (std::strcmp(argv[i], "--schedule") != 0) {
-      continue;
-    }
-    if (i + 1 >= *argc) {
-      std::fprintf(stderr, "%s: --schedule requires a <name|@file> operand\n", argv[0]);
-      std::exit(2);
-    }
-    const std::string arg = argv[i + 1];
-    if (!arg.empty() && arg[0] == '@') {
-      std::string text;
-      std::string error;
-      if (!asfobs::ReadTextFile(arg.substr(1), &text, &error) ||
-          !asffault::FaultSchedule::Parse(text, &schedule, &error)) {
-        std::fprintf(stderr, "%s: %s: %s\n", argv[0], arg.c_str() + 1, error.c_str());
-        std::exit(2);
-      }
-      *name = arg.substr(1);
-    } else {
-      if (!asffault::FaultSchedule::Lookup(arg, &schedule)) {
-        std::fprintf(stderr, "%s: unknown built-in schedule '%s'\n", argv[0], arg.c_str());
-        std::exit(2);
-      }
-      *name = arg;
-    }
-    // Remove the two consumed arguments for the shared parser.
-    for (int j = i; j + 2 < *argc; ++j) {
-      argv[j] = argv[j + 2];
-    }
-    *argc -= 2;
-    return schedule;
-  }
-  return schedule;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
+  std::string schedule_arg;
+  benchutil::Options opt = benchutil::ParseArgs(
+      argc, argv,
+      {{.name = "--schedule",
+        .operand = &schedule_arg,
+        .usage = "  --schedule <s> run under a fault schedule: a built-in name or @<file>\n"}});
   std::string schedule_name;
-  asffault::FaultSchedule schedule = ExtractSchedule(&argc, argv, &schedule_name);
-  benchutil::Options opt = benchutil::ParseArgs(argc, argv);
+  asffault::FaultSchedule schedule;
+  if (!schedule_arg.empty()) {
+    schedule = benchutil::LoadSchedule(argv[0], schedule_arg, &schedule_name);
+  }
   benchutil::JsonReport report("fig4_stamp_scalability", opt);
   const uint32_t scale = opt.quick ? 1 : 2;
 
@@ -99,10 +62,7 @@ int main(int argc, char** argv) {
         cfg.scale = scale;
         cfg.schedule = schedule;
         cfg.collect_latency = true;
-        if (opt.seed != 0) {
-          cfg.seed = opt.seed;
-        }
-        sweep.SubmitStamp(app_name, cfg);
+        sweep.SubmitStamp(app_name, benchutil::Seeded(cfg, opt));
       }
     }
     // Sequential bar: one thread, uninstrumented (no fault injection — it is
@@ -112,10 +72,7 @@ int main(int argc, char** argv) {
     cfg.threads = 1;
     cfg.scale = scale;
     cfg.collect_latency = true;
-    if (opt.seed != 0) {
-      cfg.seed = opt.seed;
-    }
-    sweep.SubmitStamp(app_name, cfg);
+    sweep.SubmitStamp(app_name, benchutil::Seeded(cfg, opt));
   }
   sweep.Run();
 
@@ -151,19 +108,11 @@ int main(int argc, char** argv) {
     table.AddRow({"Sequential (1thr)", asfcommon::Table::Num(seq.exec_ms, 3)});
     lat.emplace_back("Sequential", seq.latency);
     report.AddLatency(app_name + "/Sequential", seq.latency);
-    table.Print();
-    if (opt.csv) {
-      table.PrintCsv(stdout);
-    }
-    report.Add(table);
+    report.Print(table);
 
     asfcommon::Table ltab =
         benchutil::LatencyTable("STAMP: " + app_name + " [latency]", lat);
-    ltab.Print();
-    if (opt.csv) {
-      ltab.PrintCsv(stdout);
-    }
-    report.Add(ltab);
+    report.Print(ltab);
     if (!schedule_name.empty()) {
       std::printf("Injected faults (%s, all series/threads): %llu\n\n", app_name.c_str(),
                   static_cast<unsigned long long>(app_injected));

@@ -63,10 +63,7 @@ int main(int argc, char** argv) {
         cfg.ops_per_thread = ops;
         cfg.variant = variant;
         cfg.collect_latency = true;
-        if (opt.seed != 0) {
-          cfg.seed = opt.seed;
-        }
-        sweep.SubmitIntset(cfg);
+        sweep.SubmitIntset(benchutil::Seeded(cfg, opt));
       }
     }
   }
@@ -88,11 +85,7 @@ int main(int argc, char** argv) {
       }
       table.AddRow(row);
     }
-    table.Print();
-    if (opt.csv) {
-      table.PrintCsv(stdout);
-    }
-    report.Add(table);
+    report.Print(table);
 
     // Tail latency per variant, merged across the panel's thread counts
     // (the mergeable fixed-bucket layout makes this exact, not approximate).
@@ -115,11 +108,7 @@ int main(int argc, char** argv) {
       }
     }
     asfcommon::Table ltab = benchutil::LatencyTable(std::string(panel.title) + " [latency]", lat);
-    ltab.Print();
-    if (opt.csv) {
-      ltab.PrintCsv(stdout);
-    }
-    report.Add(ltab);
+    report.Print(ltab);
   }
   return report.Write() ? 0 : 1;
 }

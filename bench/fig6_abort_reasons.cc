@@ -49,10 +49,7 @@ int main(int argc, char** argv) {
         cfg.threads = threads;
         cfg.scale = scale;
         cfg.collect_latency = true;
-        if (opt.seed != 0) {
-          cfg.seed = opt.seed;
-        }
-        sweep.SubmitStamp(app_name, cfg);
+        sweep.SubmitStamp(app_name, benchutil::Seeded(cfg, opt));
       }
     }
   }
@@ -94,21 +91,13 @@ int main(int argc, char** argv) {
       lat.emplace_back(variant.Name(), merged);
       report.AddLatency(app_name + "/" + variant.Name(), merged);
     }
-    table.Print();
-    if (opt.csv) {
-      table.PrintCsv(stdout);
-    }
-    report.Add(table);
+    report.Print(table);
 
     // The wasted-cycle tail of the same abort mix: how the aborts above
     // translate into per-block latency and wasted work.
     asfcommon::Table ltab =
         benchutil::LatencyTable("STAMP: " + app_name + " [latency]", lat);
-    ltab.Print();
-    if (opt.csv) {
-      ltab.PrintCsv(stdout);
-    }
-    report.Add(ltab);
+    report.Print(ltab);
   }
   return report.Write() ? 0 : 1;
 }

@@ -52,10 +52,7 @@ int main(int argc, char** argv) {
         cfg.ops_per_thread = ops;
         cfg.variant = variant;
         cfg.collect_latency = true;
-        if (opt.seed != 0) {
-          cfg.seed = opt.seed;
-        }
-        sweep.SubmitIntset(cfg);
+        sweep.SubmitIntset(benchutil::Seeded(cfg, opt));
       }
     }
   }
@@ -82,20 +79,12 @@ int main(int argc, char** argv) {
       lat.emplace_back(variant.Name(), merged);
       report.AddLatency(std::string(study.structure) + "/" + variant.Name(), merged);
     }
-    table.Print();
-    if (opt.csv) {
-      table.PrintCsv(stdout);
-    }
-    report.Add(table);
+    report.Print(table);
 
     // Capacity overflows surface as serial-mode tail latency: the small
     // variants' p99/p999 blow up exactly where throughput collapses.
     asfcommon::Table ltab = benchutil::LatencyTable(std::string(study.title) + " [latency]", lat);
-    ltab.Print();
-    if (opt.csv) {
-      ltab.PrintCsv(stdout);
-    }
-    report.Add(ltab);
+    report.Print(ltab);
   }
   return report.Write() ? 0 : 1;
 }

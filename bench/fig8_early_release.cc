@@ -35,10 +35,7 @@ int main(int argc, char** argv) {
         cfg.ops_per_thread = ops;
         cfg.variant = variant;
         cfg.collect_latency = true;
-        if (opt.seed != 0) {
-          cfg.seed = opt.seed;
-        }
-        sweep.SubmitIntset(cfg);
+        sweep.SubmitIntset(benchutil::Seeded(cfg, opt));
       }
     }
   }
@@ -68,19 +65,11 @@ int main(int argc, char** argv) {
       lat.emplace_back(mode, merged);
       report.AddLatency(variant.Name() + "/" + mode, merged);
     }
-    table.Print();
-    if (opt.csv) {
-      table.PrintCsv(stdout);
-    }
-    report.Add(table);
+    report.Print(table);
 
     asfcommon::Table ltab =
         benchutil::LatencyTable("Intset:LinkList (" + variant.Name() + ") [latency]", lat);
-    ltab.Print();
-    if (opt.csv) {
-      ltab.PrintCsv(stdout);
-    }
-    report.Add(ltab);
+    report.Print(ltab);
   }
   return report.Write() ? 0 : 1;
 }

@@ -24,8 +24,7 @@ struct Workload {
   uint32_t update_pct;
 };
 
-harness::IntsetConfig MakeConfig(const Workload& w, harness::RuntimeKind rt, uint64_t ops,
-                                 uint64_t seed) {
+harness::IntsetConfig MakeConfig(const Workload& w, harness::RuntimeKind rt, uint64_t ops) {
   harness::IntsetConfig cfg;
   cfg.structure = w.structure;
   cfg.key_range = 256;
@@ -36,9 +35,6 @@ harness::IntsetConfig MakeConfig(const Workload& w, harness::RuntimeKind rt, uin
   cfg.runtime = rt;
   cfg.variant = asf::AsfVariant::Llb256();
   cfg.collect_latency = true;
-  if (seed != 0) {
-    cfg.seed = seed;
-  }
   return cfg;
 }
 
@@ -69,8 +65,8 @@ int main(int argc, char** argv) {
 
   harness::SweepRunner sweep(opt.jobs);
   for (const Workload& w : workloads) {
-    sweep.SubmitIntset(MakeConfig(w, harness::RuntimeKind::kAsfTm, ops, opt.seed));
-    sweep.SubmitIntset(MakeConfig(w, harness::RuntimeKind::kTinyStm, ops, opt.seed));
+    sweep.SubmitIntset(benchutil::Seeded(MakeConfig(w, harness::RuntimeKind::kAsfTm, ops), opt));
+    sweep.SubmitIntset(benchutil::Seeded(MakeConfig(w, harness::RuntimeKind::kTinyStm, ops), opt));
   }
   sweep.Run();
 
@@ -105,7 +101,7 @@ int main(int argc, char** argv) {
     table.AddRow({"TOTAL (in-tx)", asfcommon::Table::Int(static_cast<long long>(asf_total)),
                   asfcommon::Table::Int(static_cast<long long>(stm_total)),
                   Ratio(asf_total, stm_total)});
-    table.Print();
+    report.Print(table);
 
     // Figure 9: the same breakdown normalized to the STM total.
     asfcommon::Table fig("Figure 9: " + std::string(w.title) + " (normalized to STM total)");
@@ -116,24 +112,16 @@ int main(int argc, char** argv) {
                   asfcommon::Table::Num(static_cast<double>(asf.breakdown.At(r.cat)) / denom, 3),
                   asfcommon::Table::Num(static_cast<double>(stm.breakdown.At(r.cat)) / denom, 3)});
     }
-    fig.Print();
+    report.Print(fig);
 
     // Per-block latency of the same two runs: the start/commit and
     // load/store overheads above show up directly in the percentiles.
     asfcommon::Table ltab = benchutil::LatencyTable(
         std::string(w.title) + " [latency]",
         {{"ASF-TM (LLB-256)", asf.latency}, {"TinySTM", stm.latency}});
-    ltab.Print();
+    report.Print(ltab);
     report.AddLatency(std::string(w.structure) + "/asf-tm", asf.latency);
     report.AddLatency(std::string(w.structure) + "/tiny-stm", stm.latency);
-    if (opt.csv) {
-      table.PrintCsv(stdout);
-      fig.PrintCsv(stdout);
-      ltab.PrintCsv(stdout);
-    }
-    report.Add(table);
-    report.Add(fig);
-    report.Add(ltab);
   }
   return report.Write() ? 0 : 1;
 }

@@ -30,8 +30,7 @@
 // tools/bench_diff compares across runs ("no thread starves under bully" as
 // a regression gate).
 //
-//   usage: litmus_progress [--quick] [--csv] [--json <path>] [--seed <n>]
-//                          [--jobs <n>]
+//   usage: litmus_progress [--quick] [--json <path>] [--seed <n>] [--jobs <n>]
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -161,11 +160,7 @@ int main(int argc, char** argv) {
                     con.is_control ? Watchdog::VerdictName(adv.failure_mode) : "progress",
                     ok ? "ok" : "FAILED"});
     }
-    table.Print();
-    report.Add(table);
-    if (opt.csv) {
-      table.PrintCsv(stdout);
-    }
+    report.Print(table);
   }
 
   if (!report.Write()) {

@@ -16,7 +16,6 @@
 // the scheduler/memory fast paths).
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -55,7 +54,7 @@ std::string ConfigLabel(const harness::IntsetConfig& cfg) {
          std::to_string(cfg.threads);
 }
 
-std::vector<harness::IntsetConfig> BuildGrid(bool quick, uint64_t seed) {
+std::vector<harness::IntsetConfig> BuildGrid(const benchutil::Options& opt) {
   struct Panel {
     const char* structure;
     uint64_t key_range;
@@ -81,12 +80,9 @@ std::vector<harness::IntsetConfig> BuildGrid(bool quick, uint64_t seed) {
         cfg.key_range = p.key_range;
         cfg.update_pct = p.update_pct;
         cfg.threads = threads;
-        cfg.ops_per_thread = quick ? 150 : 1500;
+        cfg.ops_per_thread = opt.quick ? 150 : 1500;
         cfg.variant = variant;
-        if (seed != 0) {
-          cfg.seed = seed;
-        }
-        grid.push_back(cfg);
+        grid.push_back(benchutil::Seeded(cfg, opt));
       }
     }
   }
@@ -216,35 +212,25 @@ int CheckBaseline(const std::string& path, const benchutil::Options& opt,
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Benchmark-specific flags, filtered out before the shared strict parser:
-  // --baseline <path> compares this run's digests against a prior --json
-  // report and fails on any shift; --gate-check reruns the grid with the
-  // conflict directory's active-speculator gate force-disabled and fails if
-  // any digest differs from the gated serial pass (the fast path must never
-  // drift from the slow path).
+  // Benchmark-specific flags: --baseline <path> compares this run's digests
+  // against a prior --json report and fails on any shift; --gate-check reruns
+  // the grid with the conflict directory's active-speculator gate
+  // force-disabled and fails if any digest differs from the gated serial pass
+  // (the fast path must never drift from the slow path).
   std::string baseline_path;
   bool gate_check = false;
-  std::vector<char*> filtered;
-  filtered.reserve(static_cast<size_t>(argc));
-  filtered.push_back(argv[0]);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--baseline") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: --baseline requires a path operand\n", argv[0]);
-        return 2;
-      }
-      baseline_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--gate-check") == 0) {
-      gate_check = true;
-    } else {
-      filtered.push_back(argv[i]);
-    }
-  }
-  benchutil::Options opt =
-      benchutil::ParseArgs(static_cast<int>(filtered.size()), filtered.data());
+  benchutil::Options opt = benchutil::ParseArgs(
+      argc, argv,
+      {{.name = "--baseline",
+        .operand = &baseline_path,
+        .usage = "  --baseline <path>  fail unless the digests match this prior --json report\n"},
+       {.name = "--gate-check",
+        .on = &gate_check,
+        .usage = "  --gate-check   also run with the speculator gate disabled and require\n"
+                 "                 identical digests\n"}});
   benchutil::JsonReport report("perf_selfcheck", opt);
 
-  const std::vector<harness::IntsetConfig> grid = BuildGrid(opt.quick, opt.seed);
+  const std::vector<harness::IntsetConfig> grid = BuildGrid(opt);
   const benchutil::HostInfo host_info = benchutil::QueryHostInfo();
   const uint32_t host_cpus = harness::DefaultJobs();
   const uint32_t parallel_jobs = opt.jobs != 0 ? opt.jobs : host_cpus;
@@ -313,8 +299,7 @@ int main(int argc, char** argv) {
                 asfcommon::Table::Num(static_cast<double>(parallel.sim_cycles) / 1e6, 1),
                 Rate(parallel.sim_cycles, parallel.wall_seconds),
                 asfcommon::Table::Int(static_cast<long long>(parallel.committed_tx))});
-  table.Print();
-  report.Add(table);
+  report.Print(table);
 
   // Host fast-path telemetry (serial pass): how often the scheduler's
   // next-event slot, the memory system's memo and the coroutine frame
@@ -341,8 +326,7 @@ int main(int argc, char** argv) {
   fast.AddRow({"coroutine frame allocs", asfcommon::Table::Int(static_cast<long long>(frame_allocs)),
                asfcommon::Table::Int(static_cast<long long>(frame_hits)),
                Pct(frame_hits, frame_allocs)});
-  fast.Print();
-  report.Add(fast);
+  report.Print(fast);
 
   // Conflict-directory telemetry (serial pass): how often the
   // active-speculator gate removed conflict resolution entirely, how often
@@ -369,8 +353,7 @@ int main(int argc, char** argv) {
   dir.AddRow({"directory probe hits",
               asfcommon::Table::Int(static_cast<long long>(hp.dir_probe_hits)),
               Pct(hp.dir_probe_hits, hp.dir_probes)});
-  dir.Print();
-  report.Add(dir);
+  report.Print(dir);
 
   asfcommon::Table digests(kDigestTableTitle);
   digests.SetHeader({"configuration", "digest (tx:cycles:attempts:aborts)"});
@@ -387,14 +370,7 @@ int main(int argc, char** argv) {
   summary.AddRow({"configurations", std::to_string(grid.size())});
   summary.AddRow({"speedup (serial wall / parallel wall)", asfcommon::Table::Num(speedup, 2)});
   summary.AddRow({"determinism", "jobs-invariant (all digests equal)"});
-  summary.Print();
-  report.Add(summary);
-
-  if (opt.csv) {
-    table.PrintCsv(stdout);
-    fast.PrintCsv(stdout);
-    summary.PrintCsv(stdout);
-  }
+  report.Print(summary);
 
   std::printf("speedup: %.2fx with %u jobs on %u host CPUs\n", speedup, parallel_jobs, host_cpus);
   if (host_cpus >= 4 && parallel_jobs >= 4 && speedup < 2.0) {

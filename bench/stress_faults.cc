@@ -8,12 +8,11 @@
 // replay-comparable digests must match byte for byte (deterministic fault
 // injection).
 //
-//   usage: stress_faults [--quick] [--csv] [--json <path>] [--seed <n>]
-//                        [--jobs <n>] [--schedule <name|@file>]
-//                        [--runtime <name>] [--policy <spec>] [--verify-replay]
+//   usage: stress_faults [--quick] [--json <path>] [--seed <n>] [--jobs <n>]
+//                        [--schedule <name|@file>] [--runtime <name>]
+//                        [--policy <spec>] [--verify-replay]
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -37,80 +36,27 @@ struct StressOptions {
   bool verify_replay = false;
 };
 
-void PrintUsage(const char* prog, std::FILE* out) {
-  std::fprintf(out,
-               "usage: %s [--quick] [--csv] [--json <path>] [--seed <n>] [--jobs <n>]\n"
-               "          [--schedule <name|@file>] [--runtime <name>] [--policy <spec>]\n"
-               "          [--verify-replay]\n"
-               "  --quick              reduced op counts (smoke runs)\n"
-               "  --csv                emit CSV after the human-readable tables\n"
-               "  --json <path>        write a machine-readable JSON run report\n"
-               "  --seed <n>           override the workload base RNG seed\n"
-               "  --jobs <n>           host threads for the sweep (default: all cores)\n"
-               "  --schedule <s>       fault schedule: a built-in name or @<file>\n"
-               "                       (built-ins: none, interrupt-heavy, capacity-heavy,\n"
-               "                       adversarial-contention; default: all built-ins)\n"
-               "  --runtime <r>        asf-tm | tiny-stm | phased-tm | lock-elision\n"
-               "                       (default: all four)\n"
-               "  --policy <spec>      contention policy: exp-backoff[:base=,cap=,retries=,\n"
-               "                       capacity-serial=] or no-backoff\n"
-               "  --verify-replay      run every configuration twice and require\n"
-               "                       byte-identical digests\n",
-               prog);
-}
-
 StressOptions ParseArgs(int argc, char** argv) {
   StressOptions opt;
-  for (int i = 1; i < argc; ++i) {
-    auto operand = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: %s requires an operand\n", argv[0], flag);
-        PrintUsage(argv[0], stderr);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      opt.base.quick = true;
-    } else if (std::strcmp(argv[i], "--csv") == 0) {
-      opt.base.csv = true;
-    } else if (std::strcmp(argv[i], "--json") == 0) {
-      opt.base.json_path = operand("--json");
-    } else if (std::strcmp(argv[i], "--seed") == 0) {
-      const char* s = operand("--seed");
-      char* end = nullptr;
-      opt.base.seed = std::strtoull(s, &end, 10);
-      if (end == s || *end != '\0' || opt.base.seed == 0) {
-        std::fprintf(stderr, "%s: --seed operand must be a positive integer, got '%s'\n",
-                     argv[0], s);
-        std::exit(2);
-      }
-    } else if (std::strcmp(argv[i], "--jobs") == 0) {
-      const char* s = operand("--jobs");
-      char* end = nullptr;
-      unsigned long long v = std::strtoull(s, &end, 10);
-      if (end == s || *end != '\0' || v == 0 || v > 1024) {
-        std::fprintf(stderr, "%s: --jobs operand must be in [1, 1024], got '%s'\n", argv[0], s);
-        std::exit(2);
-      }
-      opt.base.jobs = static_cast<uint32_t>(v);
-    } else if (std::strcmp(argv[i], "--schedule") == 0) {
-      opt.schedule = operand("--schedule");
-    } else if (std::strcmp(argv[i], "--runtime") == 0) {
-      opt.runtime = operand("--runtime");
-    } else if (std::strcmp(argv[i], "--policy") == 0) {
-      opt.policy = operand("--policy");
-    } else if (std::strcmp(argv[i], "--verify-replay") == 0) {
-      opt.verify_replay = true;
-    } else if (std::strcmp(argv[i], "--help") == 0 || std::strcmp(argv[i], "-h") == 0) {
-      PrintUsage(argv[0], stdout);
-      std::exit(0);
-    } else {
-      std::fprintf(stderr, "%s: unknown argument '%s'\n", argv[0], argv[i]);
-      PrintUsage(argv[0], stderr);
-      std::exit(2);
-    }
-  }
+  opt.base = benchutil::ParseArgs(
+      argc, argv,
+      {{.name = "--schedule",
+        .operand = &opt.schedule,
+        .usage = "  --schedule <s>  fault schedule: a built-in name or @<file>\n"
+                 "                  (built-ins: none, interrupt-heavy, capacity-heavy,\n"
+                 "                  adversarial-contention; default: all built-ins)\n"},
+       {.name = "--runtime",
+        .operand = &opt.runtime,
+        .usage = "  --runtime <r>   asf-tm | tiny-stm | phased-tm | lock-elision\n"
+                 "                  (default: all four)\n"},
+       {.name = "--policy",
+        .operand = &opt.policy,
+        .usage = "  --policy <spec> contention policy: exp-backoff[:base=,cap=,retries=,\n"
+                 "                  capacity-serial=] or no-backoff\n"},
+       {.name = "--verify-replay",
+        .on = &opt.verify_replay,
+        .usage = "  --verify-replay run every configuration twice and require\n"
+                 "                  byte-identical digests\n"}});
   return opt;
 }
 
@@ -131,22 +77,7 @@ std::vector<NamedSchedule> LoadSchedules(const char* prog, const std::string& ar
     return out;
   }
   NamedSchedule ns;
-  if (arg[0] == '@') {
-    std::string text;
-    std::string error;
-    if (!asfobs::ReadTextFile(arg.substr(1), &text, &error) ||
-        !FaultSchedule::Parse(text, &ns.schedule, &error)) {
-      std::fprintf(stderr, "%s: %s: %s\n", prog, arg.c_str() + 1, error.c_str());
-      std::exit(2);
-    }
-    ns.name = arg.substr(1);
-  } else {
-    if (!FaultSchedule::Lookup(arg, &ns.schedule)) {
-      std::fprintf(stderr, "%s: unknown built-in schedule '%s'\n", prog, arg.c_str());
-      std::exit(2);
-    }
-    ns.name = arg;
-  }
+  ns.schedule = benchutil::LoadSchedule(prog, arg, &ns.name);
   out.push_back(std::move(ns));
   return out;
 }
@@ -271,20 +202,12 @@ int main(int argc, char** argv) {
                     Table::Int(static_cast<long long>(r.total_injected)), TopInjectedCause(r),
                     r.watchdog_fired ? r.watchdog_diagnosis.c_str() : "quiet", invariants});
     }
-    table.Print();
-    report.Add(table);
-    if (opt.base.csv) {
-      table.PrintCsv(stdout);
-    }
+    report.Print(table);
 
     // Tail-latency view of the same cells: injected faults surface as
     // wasted-cycle ratio and stretched p99/p999.
     Table ltab = benchutil::LatencyTable("Fault stress: " + ns.name + " [latency]", lat);
-    ltab.Print();
-    report.Add(ltab);
-    if (opt.base.csv) {
-      ltab.PrintCsv(stdout);
-    }
+    report.Print(ltab);
   }
 
   if (!report.Write()) {

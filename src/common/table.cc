@@ -57,19 +57,4 @@ void Table::Print(std::FILE* out) const {
   std::fputc('\n', out);
 }
 
-void Table::PrintCsv(std::FILE* out) const {
-  auto print_row = [out](const std::vector<std::string>& row) {
-    for (size_t i = 0; i < row.size(); ++i) {
-      std::fprintf(out, "%s%s", i == 0 ? "" : ",", row[i].c_str());
-    }
-    std::fprintf(out, "\n");
-  };
-  if (!header_.empty()) {
-    print_row(header_);
-  }
-  for (const auto& r : rows_) {
-    print_row(r);
-  }
-}
-
 }  // namespace asfcommon

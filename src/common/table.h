@@ -1,6 +1,6 @@
 // Copyright (c) 2026 The asf-tm-stack Authors. All rights reserved.
-// Small text-table / CSV printer used by the benchmark harnesses to emit the
-// rows and series the paper's figures and tables report.
+// Small text-table printer used by the benchmark harnesses to emit the rows
+// and series the paper's figures and tables report.
 #ifndef SRC_COMMON_TABLE_H_
 #define SRC_COMMON_TABLE_H_
 
@@ -11,7 +11,7 @@
 namespace asfcommon {
 
 // Accumulates rows of string cells and prints them with aligned columns.
-// Also supports CSV output so results can be post-processed into plots.
+// Bench --json reports carry the same cells for post-processing.
 class Table {
  public:
   explicit Table(std::string title) : title_(std::move(title)) {}
@@ -28,9 +28,6 @@ class Table {
 
   // Pretty-prints the table to `out` with aligned columns.
   void Print(std::FILE* out = stdout) const;
-
-  // Prints the table in CSV form (header then rows) to `out`.
-  void PrintCsv(std::FILE* out) const;
 
   const std::string& title() const { return title_; }
   size_t row_count() const { return rows_.size(); }

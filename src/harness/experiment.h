@@ -58,8 +58,10 @@ struct IntsetConfig {
   asf::AsfVariant variant = asf::AsfVariant::Llb256();
   uint64_t seed = 1;
   bool timer_interrupts = true;
-  // Extra per-barrier ABI dispatch instructions (models dynamic linking /
-  // no-LTO; -1 = default inlined cost).
+  // Per-barrier ABI dispatch instructions of a dynamically linked, non-LTO
+  // TM library (-1 = the default inlined cost). The hardware runtimes'
+  // barrier costs this many instructions instead of HwCosts' 2; TinySTM's
+  // load and store barriers cost this many on top of their own 45 and 55.
   int barrier_instructions = -1;
   // Contention-policy spec for asftm::MakeContentionPolicy (e.g.
   // "exp-backoff:retries=4", "no-backoff"); empty = the runtime's built-in

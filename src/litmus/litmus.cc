@@ -245,7 +245,7 @@ LitmusResult RunLitmus(const LitmusTest& test, const LitmusConfig& cfg) {
   std::set<std::string> reported;  // Dedup for violation messages.
 
   while (!work.empty()) {
-    if (result.interleavings >= cfg.max_interleavings) {
+    if (result.interleavings >= kMaxInterleavings) {
       result.hit_cap = true;
       break;
     }
@@ -280,7 +280,7 @@ LitmusResult RunLitmus(const LitmusTest& test, const LitmusConfig& cfg) {
     // expanded somewhere else in the search.
     for (size_t d = prefix.size(); d < one.points.size(); ++d) {
       const DfsChooser::Point& pt = one.points[d];
-      if (pt.preemptive && preemptions >= cfg.max_preemptions) {
+      if (pt.preemptive && preemptions >= kMaxPreemptions) {
         result.bounded_branches += pt.branches - 1;
         continue;
       }

@@ -26,10 +26,10 @@
 // it blocks, finishes, or yields (sleeps — a backoff or polling wait hands
 // the processor off, which keeps the reference schedule fair and
 // terminating), and executions may deviate from that reference at a point
-// where the running thread is still runnable at most `max_preemptions`
+// where the running thread is still runnable at most kMaxPreemptions
 // times, so the explored set is the complete bound-B schedule space rather
 // than the exponential full tree (iterative context bounding; see
-// LitmusConfig::max_preemptions).
+// kMaxPreemptions).
 //
 // Second, pruning: a decision point is expanded (its alternative branches queued) at
 // most once per *state signature* — an FNV hash of the test-visible state
@@ -62,6 +62,22 @@ namespace litmus {
 // (e.g. "r1=1 r2=0"). Map keys, so rendering must be canonical.
 using Outcome = std::string;
 
+// Safety cap on executed interleavings; `LitmusResult::hit_cap` reports
+// whether enumeration was cut off (tests assert it was not).
+inline constexpr uint64_t kMaxInterleavings = 50000;
+
+// Preemption (context) bound, in the CHESS scheduling model: the reference
+// schedule runs each thread until it blocks, finishes, or yields (sleeps),
+// and an execution may deviate from the reference while the previous thread
+// is still runnable at most this many times. Context switches away from a
+// blocked or finished thread are free. The bound-B set contains every
+// schedule reachable with <= B preemptions — the classic context-bounding
+// result that almost all concurrency bugs manifest within two or three
+// preemptions, at polynomial instead of exponential cost. Runtimes whose
+// contention retries stretch executions (STM encounter-time conflicts,
+// phased mode switches) stay enumerable only because of this bound.
+inline constexpr uint32_t kMaxPreemptions = 4;
+
 struct LitmusConfig {
   harness::RuntimeKind runtime = harness::RuntimeKind::kAsfTm;
   asf::AsfVariant variant = asf::AsfVariant::Llb8();
@@ -71,21 +87,6 @@ struct LitmusConfig {
   // Contention-policy spec for the runtime (asftm::MakeContentionPolicy);
   // empty = the runtime's built-in default.
   std::string policy;
-  // Safety cap on executed interleavings; `LitmusResult::hit_cap` reports
-  // whether enumeration was cut off (tests assert it was not).
-  uint64_t max_interleavings = 50000;
-  // Preemption (context) bound, in the CHESS scheduling model: the
-  // reference schedule runs each thread until it blocks, finishes, or
-  // yields (sleeps), and an execution may deviate from the reference while
-  // the previous thread is still runnable at most this many times.
-  // Context switches away from a blocked or finished thread are free. The
-  // bound-B set contains every schedule reachable with <= B preemptions —
-  // the classic context-bounding result that almost all concurrency bugs
-  // manifest within two or three preemptions, at polynomial instead of
-  // exponential cost. Runtimes whose contention retries stretch executions
-  // (STM encounter-time conflicts, phased mode switches) stay enumerable
-  // only because of this bound.
-  uint32_t max_preemptions = 4;
   // State-signature pruning (see file comment). On by default.
   bool prune = true;
   // Deliberately breaks requester-wins conflict resolution for plain loads

@@ -30,10 +30,7 @@ void MemParams::Validate() const {
   ASF_CHECK_MSG(l1_latency <= l2_latency && l2_latency <= l3_latency &&
                     l3_latency <= ram_latency,
                 "hierarchy latencies must be monotone (L1 <= L2 <= L3 <= RAM)");
-  if (model_page_faults) {
-    ASF_CHECK_MSG(page_fault_cycles >= 1, "page_fault_cycles must be nonzero when faults "
-                                          "are modeled");
-  }
+  ASF_CHECK_MSG(page_fault_cycles >= 1, "page_fault_cycles must be nonzero");
 }
 
 MemorySystem::MemorySystem(uint32_t num_cores, const MemParams& params)
@@ -75,7 +72,6 @@ MemResult MemorySystem::Access(uint32_t core, uint64_t addr, uint32_t size, bool
   MemFastPathStats& fp = fast_stats_[core];
   ++fp.accesses;
 
-  const bool use_tlb = !is_write || !params_.ptlsim_store_tlb_quirk;
   const uint64_t first_page = PageOf(addr);
   const uint64_t last_page = PageOf(addr + size - 1);
   const uint64_t first_line = LineOf(addr);
@@ -99,17 +95,14 @@ MemResult MemorySystem::Access(uint32_t core, uint64_t addr, uint32_t size, bool
   // Translation and page-fault handling (per page touched).
   for (uint64_t page = first_page; page <= last_page; ++page) {
     if (fast_path_enabled_ && page == memo.page) {
-      // Present, and — when the memo was set via a translation — MRU in the
-      // L1 TLB: a repeat Translate costs 0 and the first-touch check cannot
-      // fire. (A quirk-mode store skips translation either way.)
+      // Present and MRU in the L1 TLB: a repeat Translate costs 0 and the
+      // first-touch check cannot fire.
       ++fp.page_hits;
       continue;
     }
-    if (use_tlb) {
-      result.latency += tlbs_[core]->Translate(page << asfcommon::kPageShift);
-      memo.page = page;
-    }
-    if (params_.model_page_faults && !InPretouched(page) && present_pages_.Insert(page)) {
+    result.latency += tlbs_[core]->Translate(page << asfcommon::kPageShift);
+    memo.page = page;
+    if (!InPretouched(page) && present_pages_.Insert(page)) {
       result.latency += params_.page_fault_cycles;
       result.page_fault = true;
       ++st.page_faults;

@@ -41,23 +41,18 @@ struct MemParams {
   // Upgrade of a shared line to exclusive (invalidation round-trip).
   uint64_t upgrade_latency = 12;
 
+  // Loads and stores both translate through the TLB (the paper notes that
+  // PTLsim's stores skip it; the model does not reproduce that quirk).
   TlbParams tlb;
-  // The paper notes a PTLsim quirk: stores do not consult the TLB. We model
-  // stores realistically by default; setting this true reproduces the quirk
-  // (used by the Figure-3 accuracy discussion and an ablation bench).
-  bool ptlsim_store_tlb_quirk = false;
 
-  // OS page-fault service cost (minor fault, first touch).
+  // OS page-fault service cost (minor fault, first touch of a page that was
+  // not pretouched).
   uint64_t page_fault_cycles = 3000;
-  // When false, all pages are considered pre-faulted (microbenchmarks that
-  // pre-touch their working set).
-  bool model_page_faults = true;
 
   // CHECK-fails unless every latency is physically meaningful (nonzero —
-  // the simulator's global event ordering assumes accesses take time), the
-  // hierarchy latencies are monotone (L1 <= L2 <= L3 <= RAM), and the
-  // page-fault cost is nonzero when faults are modeled. Called by every
-  // MemorySystem, mirroring CacheGeometry::Validate().
+  // the simulator's global event ordering assumes accesses take time) and
+  // the hierarchy latencies are monotone (L1 <= L2 <= L3 <= RAM). Called by
+  // every MemorySystem, mirroring CacheGeometry::Validate().
   void Validate() const;
 };
 
@@ -149,10 +144,10 @@ class MemorySystem {
   // Per-core memo of the most recent access: the line is MRU in the core's
   // L1 (so a repeat load is a guaranteed 3-cycle hit), `writable` means the
   // directory still records the core as owner (so a repeat store is a
-  // guaranteed store-buffer hit), and the page — when set — is MRU in the
-  // core's L1 TLB and present. Consecutive same-line accesses (the pointer
-  // chase in intset traversals issues key+next from one line back-to-back)
-  // then skip the TLB scan, directory probe and cache LRU walks entirely.
+  // guaranteed store-buffer hit), and the page is MRU in the core's L1 TLB
+  // and present. Consecutive same-line accesses (the pointer chase in intset
+  // traversals issues key+next from one line back-to-back) then skip the TLB
+  // scan, directory probe and cache LRU walks entirely.
   // Every state transition that could falsify a memo clears it:
   // DropFromCore (invalidation/flush) kills the line memo, a remote load's
   // dirty-downgrade kills `writable`, and the memo is overwritten on every

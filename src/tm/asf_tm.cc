@@ -17,8 +17,7 @@ using asfsim::Task;
 
 AsfTm::AsfTm(asf::Machine& machine, const AsfTmParams& params)
     : RetryDriver(machine, TxMode::kHardware, params.policy, params.rng_seed) {
-  costs_ = {params.begin_instructions, params.commit_instructions, params.barrier_instructions,
-            params.alloc_instructions};
+  costs_.barrier_instructions = params.barrier_instructions;
   serial_lock_ = machine.arena().New<SerialLock>();
   gate_ = &serial_lock_->word;
   AddThreads();

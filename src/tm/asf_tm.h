@@ -39,11 +39,9 @@ namespace asftm {
 inline constexpr ExpBackoffParams kAsfTmBackoff{};
 
 struct AsfTmParams {
-  // Modeled instruction counts of the runtime's software paths (HwCosts).
-  uint32_t begin_instructions = HwCosts().begin_instructions;
-  uint32_t commit_instructions = HwCosts().commit_instructions;
+  // Per-access ABI dispatch cost; the other software paths cost HwCosts'
+  // counts.
   uint32_t barrier_instructions = HwCosts().barrier_instructions;
-  uint32_t alloc_instructions = HwCosts().alloc_instructions;
   uint64_t rng_seed = 0x5EED;
   // Contention management; kSerialize decisions enter serial-irrevocable
   // mode.

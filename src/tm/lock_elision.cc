@@ -63,7 +63,6 @@ Task<bool> ElidableLock::Fallback(SimThread& t, TxThread& pt, BodyFn& body, uint
 ElisionTm::ElisionTm(asf::Machine& machine, const ElisionTmParams& params)
     : ElidableLock(machine, params.lock) {
   costs_.barrier_instructions = params.barrier_instructions;
-  costs_.alloc_instructions = params.alloc_instructions;
   WarmAllocators();
 }
 

@@ -91,9 +91,8 @@ class ElidableLock : public RetryDriver {
 
 struct ElisionTmParams {
   ElisionParams lock;
-  // Modeled instruction counts matching the other runtimes' software paths.
+  // Per-access ABI dispatch cost, as in the other hardware runtimes.
   uint32_t barrier_instructions = HwCosts().barrier_instructions;
-  uint32_t alloc_instructions = HwCosts().alloc_instructions;
 };
 
 class ElisionTm final : public ElidableLock {

@@ -15,8 +15,7 @@ using asfsim::Task;
 PhasedTm::PhasedTm(asf::Machine& machine, const PhasedTmParams& params)
     : RetryDriver(machine, TxMode::kHardware, params.policy, params.rng_seed),
       software_quota_(params.software_quota) {
-  costs_ = {params.begin_instructions, params.commit_instructions, params.barrier_instructions,
-            params.alloc_instructions};
+  costs_.barrier_instructions = params.barrier_instructions;
   phase_ = machine.arena().New<PhaseState>();
   gate_ = &phase_->phase;
   TinyStmParams stm_params;

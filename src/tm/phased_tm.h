@@ -31,10 +31,9 @@ namespace asftm {
 inline constexpr ExpBackoffParams kPhasedTmBackoff{.seed_stride = 0xABCD};
 
 struct PhasedTmParams {
-  uint32_t begin_instructions = HwCosts().begin_instructions;
-  uint32_t commit_instructions = HwCosts().commit_instructions;
+  // Per-access ABI dispatch cost of the hardware phase; its other software
+  // paths cost HwCosts' counts.
   uint32_t barrier_instructions = HwCosts().barrier_instructions;
-  uint32_t alloc_instructions = HwCosts().alloc_instructions;
   // Software-phase commits before attempting to switch back to hardware.
   uint32_t software_quota = 16;
   uint64_t rng_seed = 0x9A5ED;

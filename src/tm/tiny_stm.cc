@@ -12,6 +12,12 @@ using asfsim::CycleCategory;
 using asfsim::SimThread;
 using asfsim::Task;
 
+// Modeled instruction counts of the STM's fixed software paths.
+constexpr uint32_t kBeginInstructions = 40;  // sigsetjmp + descriptor setup.
+constexpr uint32_t kCommitInstructions = 30;
+constexpr uint32_t kValidateInstructionsPerEntry = 4;
+constexpr uint32_t kAllocInstructions = 12;
+
 // Transaction handle for the STM path. All barriers run software protocol
 // steps whose memory traffic goes through the simulated hierarchy.
 class StmTx : public Tx {
@@ -94,7 +100,7 @@ class StmTx : public Tx {
   Task<void*> TxMalloc(uint64_t bytes) override {
     SimThread& t = thread();
     CategoryGuard g(t.core(), CycleCategory::kTxNonInstr);
-    t.core().WorkInstructions(rt_.params_.alloc_instructions);
+    t.core().WorkInstructions(kAllocInstructions);
     void* p = pt_.alloc.TryAlloc(bytes);
     if (p == nullptr) {
       // STM attempts survive syscalls: refill inline.
@@ -163,7 +169,7 @@ bool TinyStm::OwnsOrec(const PerThread& pt, const Orec* o) const {
 Task<bool> TinyStm::Validate(SimThread& t, PerThread& pt) {
   for (uint64_t i = 0; i < pt.read_count; ++i) {
     const ReadEntry& e = pt.read_set[i];
-    t.core().WorkInstructions(params_.validate_instructions_per_entry);
+    t.core().WorkInstructions(kValidateInstructionsPerEntry);
     co_await t.Access(AccessKind::kLoad, &e.orec->word, 8);
     uint64_t w = e.orec->word;
     if (Locked(w)) {
@@ -218,7 +224,7 @@ Task<void> TinyStm::RollbackWith(SimThread& t, PerThread& pt, AbortCause cause) 
 
 Task<void> TinyStm::Commit(SimThread& t, PerThread& pt) {
   CategoryGuard g(t.core(), CycleCategory::kTxStartCommit);
-  t.core().WorkInstructions(params_.commit_instructions);
+  t.core().WorkInstructions(kCommitInstructions);
   if (pt.write_count == 0) {
     co_return;  // Read-only: the timestamp discipline makes it valid as-is.
   }
@@ -244,7 +250,7 @@ Task<void> TinyStm::Attempt(SimThread& t, TxThread& thread, const BodyFn& body) 
   pt.write_count = 0;
   {
     CategoryGuard g(t.core(), CycleCategory::kTxStartCommit);
-    t.core().WorkInstructions(params_.begin_instructions);
+    t.core().WorkInstructions(kBeginInstructions);
     co_await t.Access(AccessKind::kLoad, &clock_->time, 8);
     pt.rv = clock_->time;
   }

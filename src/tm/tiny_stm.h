@@ -49,14 +49,11 @@ struct TinyStmParams {
   // gates were recorded with.
   uint64_t max_read_set = 1ull << 18;
   uint64_t max_write_set = 1ull << 16;
-  // Modeled instruction counts for the software paths (pure ALU work; the
-  // memory traffic is simulated explicitly).
-  uint32_t begin_instructions = 40;  // sigsetjmp + descriptor setup.
-  uint32_t commit_instructions = 30;
+  // Modeled instruction counts of the read and write barriers (pure ALU
+  // work; the memory traffic is simulated explicitly). The other software
+  // paths cost fixed counts (tiny_stm.cc).
   uint32_t load_instructions = 45;   // Call, hash, checks, read-set append.
   uint32_t store_instructions = 55;  // Call, hash, CAS setup, undo-log append.
-  uint32_t validate_instructions_per_entry = 4;
-  uint32_t alloc_instructions = 12;
   uint64_t rng_seed = 0x7A57;
   // Contention management. The STM has no fallback mode, so kSerialize
   // decisions retry immediately instead.

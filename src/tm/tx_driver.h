@@ -63,8 +63,11 @@ struct TxThread {
 
 // Modeled instruction counts of the hardware attempt's software paths (the
 // ABI glue around the raw ASF instructions; Table 1 attributes begin and
-// commit to "Tx start/commit"). The defaults are ASF-TM's, reflecting the
-// statically-linked, link-time-optimized configuration the paper evaluates.
+// commit to "Tx start/commit"), reflecting the statically-linked,
+// link-time-optimized configuration the paper evaluates. Every hardware
+// runtime uses these counts; only the barrier cost is a runtime parameter
+// (the ablation's dynamically linked library), and lock elision has no glue
+// around SPECULATE and COMMIT.
 struct HwCosts {
   uint32_t begin_instructions = 35;   // Checkpoint registers, save stack mark.
   uint32_t commit_instructions = 12;  // Mode bookkeeping around COMMIT.

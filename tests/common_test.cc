@@ -92,18 +92,6 @@ TEST(Table, FormatsNumbersAndInts) {
   EXPECT_EQ(Table::Int(-42), "-42");
 }
 
-TEST(Table, CsvRoundTrip) {
-  Table t("demo");
-  t.SetHeader({"a", "b"});
-  t.AddRow({"1", "2"});
-  t.AddRow({"x", "y"});
-  char buf[256];
-  std::FILE* f = fmemopen(buf, sizeof(buf), "w");
-  t.PrintCsv(f);
-  std::fclose(f);
-  EXPECT_STREQ(buf, "a,b\n1,2\nx,y\n");
-}
-
 TEST(SimArena, BaseIsAlignedAndAllocationsDoNotOverlap) {
   SimArena arena(1 << 20);
   EXPECT_EQ(arena.base() % SimArena::kBaseAlignment, 0u);

@@ -136,17 +136,6 @@ TEST_F(MemorySystemTest, PageFaultChargedOnceAndReported) {
   EXPECT_FALSE(r2.page_fault);
 }
 
-TEST_F(MemorySystemTest, StoreTlbQuirkSkipsTranslationCost) {
-  MemParams p;
-  p.ptlsim_store_tlb_quirk = true;
-  MemorySystem mem(1, p);
-  mem.PretouchPages(0, 1ull << 30);
-  // First store to a fresh page: with the quirk, no TLB walk cost; the
-  // total must equal the pure RAM latency.
-  MemResult r = mem.Access(0, 0x70000, 8, true);
-  EXPECT_EQ(r.latency, p.ram_latency);
-}
-
 class DropRecorder : public MemEventListener {
  public:
   void OnL1LineDropped(uint32_t core, uint64_t line) override {
@@ -192,71 +181,67 @@ TEST_F(MemorySystemTest, ListenerSeesRemoteInvalidation) {
 // with the memo disabled must produce exactly the same latencies, fault
 // reports and statistics, access by access. The mix deliberately includes
 // repeat same-line accesses (memo hits), line/page crossings, remote
-// invalidations and dirty-forward downgrades (memo kills), and quirk-mode
-// stores (translation-free page handling).
+// invalidations and dirty-forward downgrades (memo kills).
 TEST(MemFastPathTest, RandomizedMixIsBitIdenticalWithMemoDisabled) {
-  for (bool quirk : {false, true}) {
-    MemParams p;
-    p.ptlsim_store_tlb_quirk = quirk;
-    MemorySystem fast(4, p);
-    MemorySystem::SetFastPathForTesting(false);
-    MemorySystem slow(4, p);
-    MemorySystem::SetFastPathForTesting(true);
-    ASSERT_TRUE(fast.fast_path_enabled());
-    ASSERT_FALSE(slow.fast_path_enabled());
-    fast.PretouchPages(0x100000, 1 << 20);
-    slow.PretouchPages(0x100000, 1 << 20);
+  MemParams p;
+  MemorySystem fast(4, p);
+  MemorySystem::SetFastPathForTesting(false);
+  MemorySystem slow(4, p);
+  MemorySystem::SetFastPathForTesting(true);
+  ASSERT_TRUE(fast.fast_path_enabled());
+  ASSERT_FALSE(slow.fast_path_enabled());
+  fast.PretouchPages(0x100000, 1 << 20);
+  slow.PretouchPages(0x100000, 1 << 20);
 
-    uint64_t state = 0xdeadbeefcafef00dull + (quirk ? 1 : 0);
-    auto next = [&state]() {
-      state ^= state << 13;
-      state ^= state >> 7;
-      state ^= state << 17;
-      return state;
-    };
-    uint64_t prev_addr = 0x100000;
-    for (int i = 0; i < 30000; ++i) {
-      uint32_t core = next() % 4;
-      bool is_write = next() % 4 == 0;
-      uint64_t addr;
-      uint32_t kind = next() % 100;
-      if (kind < 55) {
-        addr = prev_addr;  // Repeat access: the memo's bread and butter.
-      } else if (kind < 75) {
-        addr = 0x100000 + (next() % (1 << 14));  // Small hot region (sharing).
-      } else if (kind < 90) {
-        addr = 0x100000 + (next() % (1 << 20));  // Whole pretouched arena.
-      } else {
-        addr = 0x40000000 + (next() % (1 << 16));  // Faulting region.
-      }
-      uint32_t size = 1u << (next() % 4);  // 1..8 bytes; may cross lines.
-      if (next() % 50 == 0) {
-        addr = (addr & ~63ull) + 60;  // Force a line-crossing access.
-      }
-      prev_addr = addr;
-      MemResult rf = fast.Access(core, addr, size, is_write);
-      MemResult rs = slow.Access(core, addr, size, is_write);
-      ASSERT_EQ(rf.latency, rs.latency) << "access " << i << " quirk=" << quirk;
-      ASSERT_EQ(rf.page_fault, rs.page_fault) << "access " << i;
+  uint64_t state = 0xdeadbeefcafef00dull;
+  auto next = [&state]() {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    return state;
+  };
+  uint64_t prev_addr = 0x100000;
+  for (int i = 0; i < 30000; ++i) {
+    uint32_t core = next() % 4;
+    bool is_write = next() % 4 == 0;
+    uint64_t addr;
+    uint32_t kind = next() % 100;
+    if (kind < 55) {
+      addr = prev_addr;  // Repeat access: the memo's bread and butter.
+    } else if (kind < 75) {
+      addr = 0x100000 + (next() % (1 << 14));  // Small hot region (sharing).
+    } else if (kind < 90) {
+      addr = 0x100000 + (next() % (1 << 20));  // Whole pretouched arena.
+    } else {
+      addr = 0x40000000 + (next() % (1 << 16));  // Faulting region.
     }
-    for (uint32_t c = 0; c < 4; ++c) {
-      const MemStats& sf = fast.stats(c);
-      const MemStats& ss = slow.stats(c);
-      EXPECT_EQ(sf.loads, ss.loads);
-      EXPECT_EQ(sf.stores, ss.stores);
-      EXPECT_EQ(sf.l1_hits, ss.l1_hits);
-      EXPECT_EQ(sf.l2_hits, ss.l2_hits);
-      EXPECT_EQ(sf.l3_hits, ss.l3_hits);
-      EXPECT_EQ(sf.remote_hits, ss.remote_hits);
-      EXPECT_EQ(sf.ram_accesses, ss.ram_accesses);
-      EXPECT_EQ(sf.upgrades, ss.upgrades);
-      EXPECT_EQ(sf.page_faults, ss.page_faults);
+    uint32_t size = 1u << (next() % 4);  // 1..8 bytes; may cross lines.
+    if (next() % 50 == 0) {
+      addr = (addr & ~63ull) + 60;  // Force a line-crossing access.
     }
-    // The fast path must actually have fired (and only in the fast system).
-    EXPECT_GT(fast.fast_path_stats().line_hits, 0u);
-    EXPECT_EQ(slow.fast_path_stats().line_hits, 0u);
-    EXPECT_EQ(slow.fast_path_stats().page_hits, 0u);
+    prev_addr = addr;
+    MemResult rf = fast.Access(core, addr, size, is_write);
+    MemResult rs = slow.Access(core, addr, size, is_write);
+    ASSERT_EQ(rf.latency, rs.latency) << "access " << i;
+    ASSERT_EQ(rf.page_fault, rs.page_fault) << "access " << i;
   }
+  for (uint32_t c = 0; c < 4; ++c) {
+    const MemStats& sf = fast.stats(c);
+    const MemStats& ss = slow.stats(c);
+    EXPECT_EQ(sf.loads, ss.loads);
+    EXPECT_EQ(sf.stores, ss.stores);
+    EXPECT_EQ(sf.l1_hits, ss.l1_hits);
+    EXPECT_EQ(sf.l2_hits, ss.l2_hits);
+    EXPECT_EQ(sf.l3_hits, ss.l3_hits);
+    EXPECT_EQ(sf.remote_hits, ss.remote_hits);
+    EXPECT_EQ(sf.ram_accesses, ss.ram_accesses);
+    EXPECT_EQ(sf.upgrades, ss.upgrades);
+    EXPECT_EQ(sf.page_faults, ss.page_faults);
+  }
+  // The fast path must actually have fired (and only in the fast system).
+  EXPECT_GT(fast.fast_path_stats().line_hits, 0u);
+  EXPECT_EQ(slow.fast_path_stats().line_hits, 0u);
+  EXPECT_EQ(slow.fast_path_stats().page_hits, 0u);
 }
 
 // A repeat load is memoized; a remote store must kill the memo so the next
@@ -353,14 +338,6 @@ TEST(MemParamsDeathTest, ZeroPageFaultCostAborts) {
         MemorySystem mem(1, p);
       },
       "page_fault_cycles");
-}
-
-TEST(MemParamsTest, ZeroPageFaultCostAllowedWhenFaultsOff) {
-  MemParams p;
-  p.page_fault_cycles = 0;
-  p.model_page_faults = false;
-  MemorySystem mem(1, p);  // Must not abort.
-  EXPECT_FALSE(mem.Access(0, 0x5000, 8, false).page_fault);
 }
 
 }  // namespace

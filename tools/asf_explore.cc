@@ -11,6 +11,9 @@
 //   asf_explore --workload intset --structure list-er --variant llb8
 //   asf_explore --workload stamp --app vacation-low --runtime stm --threads 4
 //   asf_explore --workload stamp --app labyrinth --variant llb256-l1 --scale 2
+#include <cctype>
+#include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -41,9 +44,31 @@ struct Args {
     auto it = kv.find(key);
     return it == kv.end() ? fallback : it->second;
   }
-  uint64_t GetInt(const std::string& key, uint64_t fallback) const {
+  // The operand of --key as an integer in [lo, hi]; anything else (no
+  // digits, trailing characters, out of range) is a usage error (exit 2).
+  uint64_t GetInt(const std::string& key, uint64_t fallback, uint64_t lo = 0,
+                  uint64_t hi = UINT64_MAX) const {
     auto it = kv.find(key);
-    return it == kv.end() ? fallback : std::strtoull(it->second.c_str(), nullptr, 10);
+    if (it == kv.end()) {
+      return fallback;
+    }
+    const char* s = it->second.c_str();
+    char* end = nullptr;
+    errno = 0;
+    const uint64_t v = std::strtoull(s, &end, 10);
+    if (!std::isdigit(static_cast<unsigned char>(s[0])) || *end != '\0' || errno == ERANGE ||
+        v < lo || v > hi) {
+      if (hi == UINT64_MAX) {
+        std::fprintf(stderr, "asf_explore: --%s needs a non-negative integer, got '%s'\n",
+                     key.c_str(), s);
+      } else {
+        std::fprintf(stderr, "asf_explore: --%s needs an integer in [%llu, %llu], got '%s'\n",
+                     key.c_str(), static_cast<unsigned long long>(lo),
+                     static_cast<unsigned long long>(hi), s);
+      }
+      std::exit(2);
+    }
+    return v;
   }
 };
 
@@ -254,7 +279,7 @@ int main(int argc, char** argv) {
   std::string workload = args.Get("workload", "intset");
   RuntimeKind runtime = ParseRuntime(args.Get("runtime", "asf"));
   asf::AsfVariant variant = ParseVariant(args.Get("variant", "llb256"));
-  uint32_t threads = static_cast<uint32_t>(args.GetInt("threads", 8));
+  uint32_t threads = static_cast<uint32_t>(args.GetInt("threads", 8, 1, 8));
   uint64_t seed = args.GetInt("seed", 1);
 
   // Litmus mode: enumerate a semantics test instead of running a workload.
@@ -292,8 +317,8 @@ int main(int argc, char** argv) {
         cfg.variant = variant;
         cfg.seed = seed;
         cfg.policy = args.Get("policy", "");
-        cfg.break_requester_wins = args.GetInt("break-rw", 0) != 0;
-        cfg.prune = args.GetInt("prune", 1) != 0;
+        cfg.break_requester_wins = args.GetInt("break-rw", 0, 0, 1) != 0;
+        cfg.prune = args.GetInt("prune", 1, 0, 1) != 0;
         litmus::LitmusResult r = litmus::RunLitmus(*t, cfg);
         std::printf("  %-14s %4lu interleavings | %4lu decision points | %4lu pruned | "
                     "%4lu bounded%s\n",
@@ -316,12 +341,8 @@ int main(int argc, char** argv) {
   std::string report_path = args.Get("report", "");
   std::string policy = args.Get("policy", "");
   std::string schedule_arg = args.Get("schedule", "");
-  uint32_t jobs = static_cast<uint32_t>(args.GetInt("jobs", 0));
-  uint64_t reps = args.GetInt("reps", 1);
-  if (reps == 0 || reps > 1024) {
-    std::fprintf(stderr, "--reps must be in [1, 1024]\n");
-    return 2;
-  }
+  uint32_t jobs = static_cast<uint32_t>(args.GetInt("jobs", 0, 0, 1024));
+  uint64_t reps = args.GetInt("reps", 1, 1, 1024);
   if (reps > 1 && (!trace_path.empty() || !report_path.empty())) {
     std::fprintf(stderr, "--trace/--report export a single run; use --reps 1\n");
     return 2;
@@ -341,7 +362,7 @@ int main(int argc, char** argv) {
     harness::IntsetConfig cfg;
     cfg.structure = args.Get("structure", "rb");
     cfg.key_range = args.GetInt("range", 1024);
-    cfg.update_pct = static_cast<uint32_t>(args.GetInt("update", 20));
+    cfg.update_pct = static_cast<uint32_t>(args.GetInt("update", 20, 0, 100));
     cfg.threads = threads;
     cfg.ops_per_thread = args.GetInt("ops", 2000);
     cfg.runtime = runtime;
@@ -450,7 +471,7 @@ int main(int argc, char** argv) {
     cfg.runtime = runtime;
     cfg.variant = variant;
     cfg.threads = threads;
-    cfg.scale = static_cast<uint32_t>(args.GetInt("scale", 1));
+    cfg.scale = static_cast<uint32_t>(args.GetInt("scale", 1, 1, UINT32_MAX));
     cfg.seed = seed;
     cfg.timer_interrupts = timer;
     if (!schedule_arg.empty()) {

@@ -3,7 +3,8 @@
 // --json) table by table and prints per-cell percentage deltas.
 //
 // Matching: tables by title, rows by their first cell (the mode/config
-// label), cells by column index. Numeric cells (plain numbers, or numbers
+// label; the n-th row with a label pairs with the n-th old row with it),
+// cells by column index. Numeric cells (plain numbers, or numbers
 // with a trailing '%') are diffed; non-numeric cells are compared as strings.
 //
 // Exit status:
@@ -43,6 +44,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -223,9 +225,10 @@ const Table* FindTable(const std::vector<Table>& tables, const std::string& titl
   return nullptr;
 }
 
-const std::vector<std::string>* FindRow(const Table& t, const std::string& key) {
+// The `nth` (0-based) row of `t` whose first cell is `key`.
+const std::vector<std::string>* FindRow(const Table& t, const std::string& key, size_t nth) {
   for (const auto& row : t.rows) {
-    if (!row.empty() && row[0] == key) {
+    if (!row.empty() && row[0] == key && nth-- == 0) {
       return &row;
     }
   }
@@ -410,11 +413,12 @@ int main(int argc, char** argv) {
     }
     std::printf("== %s ==\n", nt.title.c_str());
     const bool digest_table = IsDigestTable(nt.title);
+    std::map<std::string, size_t> seen;  // Rows so far per label.
     for (const auto& nrow : nt.rows) {
       if (nrow.empty()) {
         continue;
       }
-      const std::vector<std::string>* orow = FindRow(*ot, nrow[0]);
+      const std::vector<std::string>* orow = FindRow(*ot, nrow[0], seen[nrow[0]]++);
       if (orow == nullptr) {
         std::printf("  %-40s new row\n", nrow[0].c_str());
         deltas.push_back({nt.title, nrow[0], "", "", "", 0.0, false, "new_row"});

@@ -11,6 +11,7 @@
 #include "src/asf/llb.h"
 #include "src/harness/experiment.h"
 #include "src/mem/cache.h"
+#include "src/mem/memory_system.h"
 #include "src/sim/scheduler.h"
 
 namespace {
@@ -44,6 +45,40 @@ void BM_LlbAddReleaseRestore(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 48);
 }
 BENCHMARK(BM_LlbAddReleaseRestore);
+
+// Host cost of one MemorySystem::Access on a paper machine's hierarchy, by
+// path. Arg 0: memo hit (one line loaded over and over). Arg 1: L1 hit that
+// misses the memo (256 lines on 32 pages, visited page-interleaved, so every
+// access translates through the L1 TLB, reads the directory and touches the
+// L1). Arg 2: RAM miss plus TLB walk (the 2^20 lines of a pretouched 64 MiB
+// region, visited in a fixed permuted cycle that overflows the L2 TLB and the
+// L3). Items = accesses.
+void BM_MemAccess(benchmark::State& state) {
+  const int path = static_cast<int>(state.range(0));
+  asfmem::MemorySystem mem(8, asfmem::MemParams{});
+  constexpr uint64_t kBase = uint64_t{1} << 32;
+  constexpr uint64_t kMissLines = uint64_t{1} << 20;
+  mem.PretouchPages(kBase, kMissLines * asfcommon::kCacheLineBytes);
+  uint64_t i = 0;
+  for (auto _ : state) {
+    uint64_t addr;
+    if (path == 0) {
+      addr = kBase;
+    } else if (path == 1) {
+      const uint64_t page = i & 31;
+      const uint64_t line = (page >> 3) * 8 + ((i >> 5) & 7);  // No two in one L1 set.
+      addr = kBase + page * asfcommon::kPageBytes + line * asfcommon::kCacheLineBytes;
+    } else {
+      addr = kBase + ((i * 2654435761u) & (kMissLines - 1)) * asfcommon::kCacheLineBytes;
+    }
+    benchmark::DoNotOptimize(mem.Access(0, addr, 8, false).latency);
+    ++i;
+  }
+  state.SetItemsProcessed(state.iterations());
+  static constexpr const char* kLabels[] = {"memo hit", "L1 hit", "RAM miss + TLB walk"};
+  state.SetLabel(kLabels[path]);
+}
+BENCHMARK(BM_MemAccess)->DenseRange(0, 2);
 
 // Simulated-access throughput of the full stack (scheduler + caches + ASF +
 // TM): one red-black-tree lookup workload; items = committed transactions.

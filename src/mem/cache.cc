@@ -68,6 +68,33 @@ std::optional<uint64_t> Cache::Insert(uint64_t line) {
   return evicted;
 }
 
+bool Cache::TouchOrInsert(uint64_t line) {
+  Way* set = &ways_storage_[SetOf(line) * ways_];
+  // Insert's victim rule (first empty way, else least recently used), but
+  // the scan runs on past an empty way: like Touch, it must find the line
+  // wherever it sits in the set.
+  Way* victim = &set[0];
+  bool victim_empty = false;
+  for (uint32_t w = 0; w < ways_; ++w) {
+    if (set[w].line == line) {
+      set[w].lru = ++tick_;
+      return true;
+    }
+    if (victim_empty) {
+      continue;
+    }
+    if (set[w].line == kInvalid) {
+      victim = &set[w];
+      victim_empty = true;
+    } else if (set[w].lru < victim->lru) {
+      victim = &set[w];
+    }
+  }
+  victim->line = line;
+  victim->lru = ++tick_;
+  return false;
+}
+
 bool Cache::Invalidate(uint64_t line) {
   Way* set = &ways_storage_[SetOf(line) * ways_];
   for (uint32_t w = 0; w < ways_; ++w) {

@@ -45,6 +45,10 @@ class Cache {
   // one. Inserting a present line just promotes it.
   std::optional<uint64_t> Insert(uint64_t line);
 
+  // Touch, and on a miss Insert (dropping the victim), in one scan of the
+  // set. Returns true on hit. Leaves the same state as Touch-then-Insert.
+  bool TouchOrInsert(uint64_t line);
+
   // Removes the line if present; returns true if it was.
   bool Invalidate(uint64_t line);
 

@@ -1,7 +1,6 @@
 // Copyright (c) 2026 The asf-tm-stack Authors. All rights reserved.
 #include "src/mem/memory_system.h"
 
-#include <algorithm>
 #include <atomic>
 
 namespace asfmem {
@@ -83,7 +82,7 @@ MemResult MemorySystem::Access(uint32_t core, uint64_t addr, uint32_t size, bool
   // memo guarantees the slow path would be: 0-cycle MRU TLB hit, no fault,
   // L1 MRU hit (load) or owned store-buffer hit (store) — all of whose state
   // updates are idempotent — so we charge the identical latency and skip the
-  // TLB scan, directory probe and cache LRU walks.
+  // TLB lookup, directory read and cache LRU walks.
   if (fast_path_enabled_ && first_line == last_line && first_page == last_page &&
       memo.line == first_line && memo.page == first_page && (!is_write || memo.writable)) {
     ++fp.line_hits;
@@ -102,7 +101,7 @@ MemResult MemorySystem::Access(uint32_t core, uint64_t addr, uint32_t size, bool
     }
     result.latency += tlbs_[core]->Translate(page << asfcommon::kPageShift);
     memo.page = page;
-    if (!InPretouched(page) && present_pages_.Insert(page)) {
+    if (state_.MarkPresent(page)) {
       result.latency += params_.page_fault_cycles;
       result.page_fault = true;
       ++st.page_faults;
@@ -118,7 +117,8 @@ MemResult MemorySystem::Access(uint32_t core, uint64_t addr, uint32_t size, bool
 
 uint64_t MemorySystem::AccessLine(uint32_t core, uint64_t line, bool is_write) {
   MemStats& st = stats_[core];
-  DirEntry& dir = directory_[line];
+  LineState& dir = state_.Line(line);
+  const uint8_t self_tag = OwnerTag(core);
   const uint32_t self_bit = 1u << core;
   CoreMemo& memo = memos_[core];
   // Every exit below leaves `line` MRU in this core's L1, so the memo is
@@ -130,47 +130,46 @@ uint64_t MemorySystem::AccessLine(uint32_t core, uint64_t line, bool is_write) {
     // ---- Load path ----
     if (l1s_[core]->Touch(line)) {
       ++st.l1_hits;
-      memo.writable = dir.owner == static_cast<int32_t>(core);
+      memo.writable = dir.owner == self_tag;
       return params_.l1_latency;
     }
     if (l2s_[core]->Touch(line)) {
       ++st.l2_hits;
       FillLine(core, line);
       dir.sharers |= self_bit;
-      memo.writable = dir.owner == static_cast<int32_t>(core);
+      memo.writable = dir.owner == self_tag;
       return params_.l2_latency;
     }
     uint64_t latency;
-    if (dir.owner != kNoOwner && dir.owner != static_cast<int32_t>(core)) {
+    if (dir.owner != kNoOwner && dir.owner != self_tag) {
       // Dirty in a remote cache: cache-to-cache forward; owner downgrades to
       // shared (stays a sharer) — and loses its store fast path, since a
       // store now needs the upgrade round-trip.
-      CoreMemo& owner_memo = memos_[dir.owner];
+      CoreMemo& owner_memo = memos_[dir.owner - 1];
       if (owner_memo.line == line) {
         owner_memo.writable = false;
       }
       ++st.remote_hits;
       latency = params_.remote_latency;
       dir.owner = kNoOwner;
-    } else if (l3_.Touch(line)) {
+    } else if (l3_.TouchOrInsert(line)) {
       ++st.l3_hits;
       latency = params_.l3_latency;
     } else {
       ++st.ram_accesses;
       latency = params_.ram_latency;
-      l3_.Insert(line);
     }
     FillLine(core, line);
     dir.sharers |= self_bit;
-    memo.writable = dir.owner == static_cast<int32_t>(core);
+    memo.writable = dir.owner == self_tag;
     return latency;
   }
 
   // ---- Store path ----
   bool in_l1 = l1s_[core]->Touch(line);
-  bool exclusive = dir.owner == static_cast<int32_t>(core) ||
+  bool exclusive = dir.owner == self_tag ||
                    (dir.sharers == self_bit && dir.owner == kNoOwner);
-  if (in_l1 && dir.owner == static_cast<int32_t>(core)) {
+  if (in_l1 && dir.owner == self_tag) {
     ++st.l1_hits;
     memo.writable = true;
     return params_.store_hit_latency;
@@ -196,19 +195,18 @@ uint64_t MemorySystem::AccessLine(uint32_t core, uint64_t line, bool is_write) {
     } else {
       ++st.l2_hits;
     }
-  } else if (dir.owner != kNoOwner && dir.owner != static_cast<int32_t>(core)) {
+  } else if (dir.owner != kNoOwner && dir.owner != self_tag) {
     ++st.remote_hits;
     latency = params_.remote_latency;
-  } else if (l3_.Touch(line)) {
+  } else if (l3_.TouchOrInsert(line)) {
     ++st.l3_hits;
     latency = params_.l3_latency;
   } else {
     ++st.ram_accesses;
     latency = params_.ram_latency;
-    l3_.Insert(line);
   }
   FillLine(core, line);
-  dir.owner = static_cast<int32_t>(core);
+  dir.owner = self_tag;
   memo.writable = true;
   return latency;
 }
@@ -239,30 +237,8 @@ void MemorySystem::DropFromCore(uint32_t core, uint64_t line) {
   }
 }
 
-bool MemorySystem::InPretouched(uint64_t page) const {
-  // First range strictly past `page`; the candidate is its predecessor.
-  auto it = std::upper_bound(pretouched_.begin(), pretouched_.end(), page,
-                             [](uint64_t p, const PageRange& r) { return p < r.first; });
-  return it != pretouched_.begin() && page <= std::prev(it)->last;
-}
-
 void MemorySystem::PretouchPages(uint64_t addr, uint64_t bytes) {
-  uint64_t first = PageOf(addr);
-  uint64_t last = PageOf(addr + (bytes == 0 ? 0 : bytes - 1));
-  pretouched_.push_back(PageRange{first, last});
-  std::sort(pretouched_.begin(), pretouched_.end(),
-            [](const PageRange& a, const PageRange& b) { return a.first < b.first; });
-  // Re-merge overlapping or adjacent ranges (pretouch calls are rare; keeping
-  // the vector canonical makes InPretouched a pure binary search).
-  std::vector<PageRange> merged;
-  for (const PageRange& r : pretouched_) {
-    if (!merged.empty() && r.first <= merged.back().last + 1) {
-      merged.back().last = std::max(merged.back().last, r.last);
-    } else {
-      merged.push_back(r);
-    }
-  }
-  pretouched_ = std::move(merged);
+  state_.MarkPresent(PageOf(addr), PageOf(addr + (bytes == 0 ? 0 : bytes - 1)));
 }
 
 void MemorySystem::FlushLine(uint64_t line) {
@@ -270,7 +246,7 @@ void MemorySystem::FlushLine(uint64_t line) {
     DropFromCore(c, line);
   }
   l3_.Invalidate(line);
-  directory_.Erase(line);
+  state_.Line(line) = LineState{};
 }
 
 MemStats MemorySystem::TotalStats() const {

@@ -17,8 +17,8 @@
 #include <vector>
 
 #include "src/common/defs.h"
-#include "src/common/flat_table.h"
 #include "src/mem/cache.h"
+#include "src/mem/state_table.h"
 #include "src/mem/tlb.h"
 
 namespace asfmem {
@@ -109,7 +109,7 @@ class MemorySystem {
   MemResult Access(uint32_t core, uint64_t addr, uint32_t size, bool is_write);
 
   // Marks pages [addr, addr+bytes) as present without charging anything
-  // (benchmark setup data).
+  // (benchmark setup data); bytes == 0 marks the page holding addr.
   void PretouchPages(uint64_t addr, uint64_t bytes);
 
   // Drops every cached copy of `line` on all cores (used by tests).
@@ -130,16 +130,10 @@ class MemorySystem {
   // read-set tracker).
   bool L1Holds(uint32_t core, uint64_t line) const { return l1s_[core]->Probe(line); }
 
-  const Tlb& tlb(uint32_t core) const { return *tlbs_[core]; }
-
  private:
-  struct DirEntry {
-    // Bitmask of cores whose private hierarchy may hold the line.
-    uint32_t sharers = 0;
-    // Core that holds the line exclusively/dirty, or kNoOwner.
-    int32_t owner = kNoOwner;
-  };
-  static constexpr int32_t kNoOwner = -1;
+  // LineState::owner of a line `core` holds exclusively/dirty.
+  static uint8_t OwnerTag(uint32_t core) { return static_cast<uint8_t>(core + 1); }
+  static constexpr uint8_t kNoOwner = 0;
 
   // Per-core memo of the most recent access: the line is MRU in the core's
   // L1 (so a repeat load is a guaranteed 3-cycle hit), `writable` means the
@@ -147,7 +141,7 @@ class MemorySystem {
   // guaranteed store-buffer hit), and the page is MRU in the core's L1 TLB
   // and present. Consecutive same-line accesses (the pointer chase in intset
   // traversals issues key+next from one line back-to-back) then skip the TLB
-  // scan, directory probe and cache LRU walks entirely.
+  // lookup, directory read and cache LRU walks entirely.
   // Every state transition that could falsify a memo clears it:
   // DropFromCore (invalidation/flush) kills the line memo, a remote load's
   // dirty-downgrade kills `writable`, and the memo is overwritten on every
@@ -161,16 +155,6 @@ class MemorySystem {
   };
   static constexpr uint64_t kNoAddr = ~uint64_t{0};
 
-  // Inclusive page range marked present by PretouchPages. Benchmarks pretouch
-  // whole arenas (gigabytes), so ranges replace per-page hash inserts: setup
-  // becomes O(ranges) instead of O(pages), and the hot fault check is a
-  // two-comparison binary search over a handful of ranges.
-  struct PageRange {
-    uint64_t first = 0;
-    uint64_t last = 0;
-  };
-  bool InPretouched(uint64_t page) const;
-
   uint64_t AccessLine(uint32_t core, uint64_t line, bool is_write);
   void DropFromCore(uint32_t core, uint64_t line);
   void FillLine(uint32_t core, uint64_t line);
@@ -181,14 +165,12 @@ class MemorySystem {
   std::vector<std::unique_ptr<Cache>> l2s_;
   Cache l3_;
   std::vector<std::unique_ptr<Tlb>> tlbs_;
-  // Open-addressing tables (src/common/flat_table.h): the directory is hit
-  // once per line on every access, so lookup cost is first-order for
-  // simulation throughput.
-  asfcommon::FlatMap64<DirEntry> directory_{1024};
-  asfcommon::FlatSet64 present_pages_{256};
+  // The coherence directory and the first-touch page state, indexed by
+  // address: read once per line and once per page on every access that
+  // misses the memo.
+  StateTable state_;
   std::vector<MemStats> stats_;
   std::vector<CoreMemo> memos_;
-  std::vector<PageRange> pretouched_;  // Sorted, non-overlapping, non-adjacent.
   std::vector<MemFastPathStats> fast_stats_;  // Per core; see fast_path_stats().
   MemEventListener* listener_ = nullptr;
 };

@@ -6,6 +6,7 @@
 #define SRC_MEM_TLB_H_
 
 #include <cstdint>
+#include <vector>
 
 #include "src/mem/cache.h"
 
@@ -19,12 +20,54 @@ struct TlbParams {
   uint64_t walk_cycles = 35;
 };
 
+// Fully associative set of pages with exact LRU replacement, in O(1) per
+// operation: an open-addressed index maps a page to its entry, and the
+// entries form a doubly linked recency list. Pages are never invalidated, so
+// this picks exactly the victims of a one-set LRU Cache with as many ways,
+// without scanning them.
+class LruPageSet {
+ public:
+  explicit LruPageSet(uint32_t capacity);
+
+  // True if `page` is present; promotes it to most recently used.
+  bool Touch(uint64_t page);
+
+  // Adds an absent `page` as most recently used, evicting the least
+  // recently used page when the set is full.
+  void Insert(uint64_t page);
+
+ private:
+  struct Entry {
+    uint64_t page = 0;
+    uint32_t prev = kNil;  // Towards the most recently used end.
+    uint32_t next = kNil;  // Towards the least recently used end.
+  };
+  static constexpr uint32_t kNil = ~0u;
+
+  uint32_t Home(uint64_t page) const {
+    return static_cast<uint32_t>((page * 0x9E3779B97F4A7C15ull) >> index_shift_);
+  }
+  // Index slot holding `page`, or the empty slot where it would go.
+  uint32_t Find(uint64_t page) const;
+  // Empties index slot `slot`, shifting back later entries of its probe run.
+  void EraseSlot(uint32_t slot);
+  void Unlink(uint32_t e);
+  void PushFront(uint32_t e);
+
+  std::vector<Entry> entries_;   // Capacity-many once full.
+  std::vector<uint32_t> index_;  // Power-of-two size; entry or kNil.
+  uint32_t index_shift_ = 0;     // 64 - log2(index_.size()).
+  uint32_t capacity_;
+  uint32_t head_ = kNil;  // Most recently used.
+  uint32_t tail_ = kNil;  // Least recently used.
+};
+
 // Per-core D-TLB. Returns the extra cycles an address translation costs.
 class Tlb {
  public:
   explicit Tlb(const TlbParams& params)
       : params_(params),
-        l1_(CacheGeometry{params.l1_entries * asfcommon::kCacheLineBytes, params.l1_entries}),
+        l1_(params.l1_entries),
         l2_(CacheGeometry{params.l2_entries * asfcommon::kCacheLineBytes, params.l2_ways}) {}
 
   // Translates the page containing `addr`; fills both levels on miss.
@@ -34,27 +77,20 @@ class Tlb {
     if (l1_.Touch(page)) {
       return 0;
     }
-    ++l1_misses_;
-    if (l2_.Touch(page)) {
-      l1_.Insert(page);
+    l1_.Insert(page);
+    if (l2_.TouchOrInsert(page)) {
       return params_.l2_hit_cycles;
     }
     ++walks_;
-    l1_.Insert(page);
-    l2_.Insert(page);
     return params_.l2_hit_cycles + params_.walk_cycles;
   }
 
-  uint64_t l1_misses() const { return l1_misses_; }
   uint64_t walks() const { return walks_; }
 
  private:
   const TlbParams params_;
-  // Reuse the set-associative cache model: a fully associative "cache" with
-  // one set (ways == entries) models the L1 TLB.
-  Cache l1_;
+  LruPageSet l1_;
   Cache l2_;
-  uint64_t l1_misses_ = 0;
   uint64_t walks_ = 0;
 };
 

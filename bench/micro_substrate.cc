@@ -13,6 +13,7 @@
 #include "src/mem/cache.h"
 #include "src/mem/memory_system.h"
 #include "src/sim/scheduler.h"
+#include "src/tm/tm_api.h"
 
 namespace {
 
@@ -123,6 +124,55 @@ BENCHMARK(BM_MachineConstruct)
     ->DenseRange(static_cast<int>(harness::RuntimeKind::kAsfTm),
                  static_cast<int>(harness::RuntimeKind::kLockElision))
     ->Unit(benchmark::kMillisecond);
+
+// Host cost of one typed transactional barrier, per runtime: one simulated
+// thread on a quiet paper machine runs atomic blocks of kBarriersPerBlock
+// reads (or writes) of one L1-resident word, one block per benchmark batch.
+// Items = barriers; each block's begin and commit is spread over its
+// barriers. The hardware runtimes' reads and writes are direct barriers (no
+// coroutine frame); TinySTM's and the lock-based runtimes' run a barrier
+// coroutine.
+constexpr int kBarriersPerBlock = 64;
+
+void TxBarrierLoop(benchmark::State& state, bool write) {
+  const auto runtime = static_cast<harness::RuntimeKind>(state.range(0));
+  harness::IntsetConfig cfg;
+  cfg.threads = 1;
+  cfg.runtime = runtime;
+  asf::Machine m(harness::PaperMachineParams(cfg.variant, cfg.threads, false));
+  auto rt = harness::MakeRuntime(runtime, m, cfg);
+  uint64_t* word = m.arena().New<uint64_t>();
+  m.mem().PretouchPages(reinterpret_cast<uint64_t>(word), sizeof(*word));
+  const asftm::BodyFn body = [&](asftm::Tx& tx) -> asfsim::Task<void> {
+    for (uint64_t i = 0; i < kBarriersPerBlock; ++i) {
+      if (write) {
+        co_await tx.Write(word, i);
+      } else {
+        benchmark::DoNotOptimize(co_await tx.Read(word));
+      }
+    }
+  };
+  asfsim::SimThread* thread = nullptr;
+  auto loop = [&]() -> asfsim::Task<void> {
+    while (state.KeepRunningBatch(kBarriersPerBlock)) {
+      co_await rt->Atomic(*thread, body);
+    }
+  };
+  thread = &m.scheduler().Spawn(loop());
+  m.scheduler().Run();
+  state.SetItemsProcessed(state.iterations());
+  state.SetLabel(harness::RuntimeKindName(runtime));
+}
+
+void BM_TxReadBarrier(benchmark::State& state) { TxBarrierLoop(state, false); }
+BENCHMARK(BM_TxReadBarrier)
+    ->DenseRange(static_cast<int>(harness::RuntimeKind::kAsfTm),
+                 static_cast<int>(harness::RuntimeKind::kLockElision));
+
+void BM_TxWriteBarrier(benchmark::State& state) { TxBarrierLoop(state, true); }
+BENCHMARK(BM_TxWriteBarrier)
+    ->DenseRange(static_cast<int>(harness::RuntimeKind::kAsfTm),
+                 static_cast<int>(harness::RuntimeKind::kLockElision));
 
 // Scheduler wake cost, isolated from the machine model: a handler that
 // charges a fixed latency and touches nothing else. Arg = simulated threads.

@@ -13,7 +13,9 @@
 // digest table. `--baseline <path>` re-reads such a report and hard-fails if
 // any digest shifted, so a host-side "optimization" that changes simulated
 // results cannot land silently (the bit-identity gate for the frame pool and
-// the scheduler/memory fast paths).
+// the scheduler/memory fast paths), or if a deterministic host work count of
+// the serial pass shifted (wakes, inline wakes, memory accesses, memo hits,
+// frame allocations), so a fast path cannot stop engaging silently either.
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -31,6 +33,11 @@
 namespace {
 
 constexpr const char* kDigestTableTitle = "Result digests (per configuration)";
+constexpr const char* kFastPathTableTitle = "Host fast paths (serial pass)";
+// The frame pool's hit count depends on frame sizes, which the compiler and
+// its flags choose; every other fast-path count depends on the simulation
+// alone.
+constexpr const char* kFrameRowLabel = "coroutine frame allocs";
 
 // One measured pass over the configuration grid.
 struct PassResult {
@@ -133,12 +140,30 @@ std::string Pct(uint64_t part, uint64_t whole) {
          "%";
 }
 
-// Compares this run's digest table against a previously written JSON report.
-// Returns 0 on match, 1 on a digest mismatch (simulated results shifted),
-// 2 when the baseline is unusable (unreadable, wrong mode/seed, or predates
-// the digest table).
+// The rows of the table titled `title` in a parsed JSON report, or null.
+const asfobs::JsonValue* FindRows(const asfobs::JsonValue& root, const char* title) {
+  const asfobs::JsonValue* tables = root.Get("tables");
+  if (tables == nullptr || !tables->IsArray()) {
+    return nullptr;
+  }
+  for (const asfobs::JsonValue& t : tables->items()) {
+    const asfobs::JsonValue* t_title = t.Get("title");
+    if (t_title != nullptr && t_title->AsString() == title) {
+      const asfobs::JsonValue* rows = t.Get("rows");
+      return rows != nullptr && rows->IsArray() ? rows : nullptr;
+    }
+  }
+  return nullptr;
+}
+
+// Compares this run's digest table and the host work counts of its
+// fast-path table (the serial pass's events and fast-path hits, exactly)
+// against a previously written JSON report. Returns 0 on match, 1 on a
+// digest or count mismatch (simulated results or host work shifted), 2 when
+// the baseline is unusable (unreadable, wrong mode/seed, or predates one of
+// the two tables).
 int CheckBaseline(const std::string& path, const benchutil::Options& opt,
-                  const asfcommon::Table& digests) {
+                  const asfcommon::Table& digests, const asfcommon::Table& fast) {
   std::string text;
   std::string error;
   if (!asfobs::ReadTextFile(path, &text, &error)) {
@@ -162,22 +187,13 @@ int CheckBaseline(const std::string& path, const benchutil::Options& opt,
                  opt.quick ? "true" : "false", static_cast<unsigned long long>(opt.seed));
     return 2;
   }
-  const asfobs::JsonValue* tables = root.Get("tables");
-  const asfobs::JsonValue* base_digests = nullptr;
-  if (tables != nullptr && tables->IsArray()) {
-    for (const asfobs::JsonValue& t : tables->items()) {
-      const asfobs::JsonValue* title = t.Get("title");
-      if (title != nullptr && title->AsString() == kDigestTableTitle) {
-        base_digests = t.Get("rows");
-        break;
-      }
-    }
-  }
-  if (base_digests == nullptr || !base_digests->IsArray()) {
+  const asfobs::JsonValue* base_digests = FindRows(root, kDigestTableTitle);
+  const asfobs::JsonValue* base_fast = FindRows(root, kFastPathTableTitle);
+  if (base_digests == nullptr || base_fast == nullptr) {
     std::fprintf(stderr,
                  "baseline %s: no \"%s\" table — regenerate the baseline with a current "
                  "binary (--json)\n",
-                 path.c_str(), kDigestTableTitle);
+                 path.c_str(), base_digests == nullptr ? kDigestTableTitle : kFastPathTableTitle);
     return 2;
   }
   if (base_digests->size() != digests.rows().size()) {
@@ -205,7 +221,42 @@ int CheckBaseline(const std::string& path, const benchutil::Options& opt,
                  mismatches, path.c_str());
     return 1;
   }
-  std::printf("baseline: all %zu digests match %s\n", digests.rows().size(), path.c_str());
+  // Host work counts: a fast path that silently stops engaging, or a change
+  // that adds work per event, moves these without moving a digest.
+  if (base_fast->size() != fast.rows().size()) {
+    std::fprintf(stderr, "baseline %s: %zu fast-path rows, this run has %zu\n", path.c_str(),
+                 base_fast->size(), fast.rows().size());
+    return 1;
+  }
+  int count_shifts = 0;
+  for (size_t i = 0; i < fast.rows().size(); ++i) {
+    const asfobs::JsonValue& row = base_fast->at(i);
+    const std::vector<std::string>& run = fast.rows()[i];
+    // Column 1 holds events, column 2 fast-path hits.
+    const size_t last = run[0] == kFrameRowLabel ? 1 : 2;
+    bool same = row.size() == run.size() && row.at(0).AsString() == run[0];
+    for (size_t c = 1; same && c <= last; ++c) {
+      same = row.at(c).AsString() == run[c];
+    }
+    if (!same) {
+      std::fprintf(stderr,
+                   "FAILED: host count shift in \"%s\"\n  baseline: events %s, hits %s\n"
+                   "  run:      events %s, hits %s\n",
+                   run[0].c_str(), row.size() > 1 ? row.at(1).AsString().c_str() : "?",
+                   row.size() > 2 ? row.at(2).AsString().c_str() : "?", run[1].c_str(),
+                   run[2].c_str());
+      ++count_shifts;
+    }
+  }
+  if (count_shifts != 0) {
+    std::fprintf(stderr,
+                 "FAILED: the \"%s\" counts differ from %s — host work per run changed; "
+                 "regenerate the baseline if that is intended\n",
+                 kFastPathTableTitle, path.c_str());
+    return 1;
+  }
+  std::printf("baseline: all %zu digests and the host fast-path counts match %s\n",
+              digests.rows().size(), path.c_str());
   return 0;
 }
 
@@ -213,7 +264,8 @@ int CheckBaseline(const std::string& path, const benchutil::Options& opt,
 
 int main(int argc, char** argv) {
   // Benchmark-specific flags: --baseline <path> compares this run's digests
-  // against a prior --json report and fails on any shift; --gate-check reruns
+  // and host fast-path counts against a prior --json report and fails on any
+  // shift; --gate-check reruns
   // the grid with the conflict directory's active-speculator gate
   // force-disabled and fails if any digest differs from the gated serial pass
   // (the fast path must never drift from the slow path).
@@ -223,7 +275,8 @@ int main(int argc, char** argv) {
       argc, argv,
       {{.name = "--baseline",
         .operand = &baseline_path,
-        .usage = "  --baseline <path>  fail unless the digests match this prior --json report\n"},
+        .usage = "  --baseline <path>  fail unless the digests and host fast-path counts match\n"
+                 "                     this prior --json report\n"},
        {.name = "--gate-check",
         .on = &gate_check,
         .usage = "  --gate-check   also run with the speculator gate disabled and require\n"
@@ -306,7 +359,7 @@ int main(int argc, char** argv) {
   // recycler removed work from the per-access path.
   const uint64_t frame_allocs = frames_after.allocs - frames_before.allocs;
   const uint64_t frame_hits = frames_after.pool_hits - frames_before.pool_hits;
-  asfcommon::Table fast("Host fast paths (serial pass)");
+  asfcommon::Table fast(kFastPathTableTitle);
   fast.SetHeader({"layer", "events", "fast-path hits", "hit rate"});
   fast.AddRow({"scheduler wakes", asfcommon::Table::Int(static_cast<long long>(serial.host.wakes)),
                asfcommon::Table::Int(static_cast<long long>(serial.host.fast_wakes)),
@@ -323,7 +376,7 @@ int main(int argc, char** argv) {
                asfcommon::Table::Int(static_cast<long long>(serial.host.mem_accesses)),
                asfcommon::Table::Int(static_cast<long long>(serial.host.mem_page_hits)),
                Pct(serial.host.mem_page_hits, serial.host.mem_accesses)});
-  fast.AddRow({"coroutine frame allocs", asfcommon::Table::Int(static_cast<long long>(frame_allocs)),
+  fast.AddRow({kFrameRowLabel, asfcommon::Table::Int(static_cast<long long>(frame_allocs)),
                asfcommon::Table::Int(static_cast<long long>(frame_hits)),
                Pct(frame_hits, frame_allocs)});
   report.Print(fast);
@@ -379,7 +432,7 @@ int main(int argc, char** argv) {
     std::printf("note: speedup below the 2x target expected of a >=4-core host\n");
   }
   if (!baseline_path.empty()) {
-    int rc = CheckBaseline(baseline_path, opt, digests);
+    int rc = CheckBaseline(baseline_path, opt, digests, fast);
     if (rc != 0) {
       return rc;
     }

@@ -46,25 +46,22 @@ std::coroutine_handle<> SimThread::SubmitPendingOp(const PendingOp& op) {
   // TakePendingWork advances the clock by the accumulated ALU work (charging
   // each batch to its recording category); the access is then processed at
   // its true issue cycle, in global order.
-  uint64_t work = core_->TakePendingWork();
-  if (work > 0) {
+  //
+  // Flush merge: when a flush wake at the post-work clock would be the
+  // global minimum, no other thread's event lies between the pre-work and
+  // post-work clock, so the access is processed right now — exactly what
+  // OnWake would do one loop iteration later — and the wake is never
+  // scheduled. Only the flush wakes that cannot run now take a sequence
+  // number and a trip through the event loop.
+  if (core_->TakePendingWork() > 0 && !scheduler_->LeadsAt(*this, core_->clock())) {
     phase_ = Phase::kFlushWork;
     pending_ = op;
     scheduler_->ScheduleWake(*this, core_->clock());
-    // If the flush wake parked in the slot it is the global minimum: no
-    // other thread's event lies between the pre-work and post-work clock,
-    // so the deferred processing can happen right now (exactly what
-    // OnWake would do one loop iteration later).
-    if (!scheduler_->TryConsumeSlot(*this)) {
-      return std::noop_coroutine();
-    }
-    phase_ = Phase::kIdle;
-    scheduler_->ProcessAccess(*this, op);
-  } else {
-    // The thread was just woken at the global minimum cycle; processing now
-    // preserves ordering.
-    scheduler_->ProcessAccess(*this, op);
+    return std::noop_coroutine();
   }
+  // The thread is at the global minimum cycle; processing now preserves
+  // ordering.
+  scheduler_->ProcessAccess(*this, op);
   // ProcessAccess scheduled this thread's completion wake. If it parked in
   // the slot (and no abort was marked while processing), it is again the
   // global minimum: transfer control straight back into the thread instead

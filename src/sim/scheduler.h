@@ -8,8 +8,9 @@
 // simulation is single-host-threaded and bit-for-bit reproducible.
 //
 // Plain computation is charged lazily (Core::WorkInstructions) and flushed
-// by an extra suspension before the next access is processed, which keeps
-// the global ordering exact: an access issued at cycle t is processed after
+// before the next access is processed, by an extra suspension whenever
+// another thread's event lies inside the flushed cycles. That keeps the
+// global ordering exact: an access issued at cycle t is processed after
 // every event scheduled before t.
 //
 // Transaction aborts are modeled in two halves, mirroring ASF (paper
@@ -435,6 +436,22 @@ class Scheduler {
     ++inline_wakes_;
     t.core_->AdvanceTo(next_.cycle);
     return true;
+  }
+
+  // Flush-merge test: true iff a wake of `t` at `cycle` would park in the
+  // next-event slot (it precedes every pending event: ties lose, since a new
+  // event's seq is the largest) and no abort is pending, so that Run() would
+  // pop it next and process `t`'s access. Off with the fast paths, so a
+  // chooser sees every flush wake. Unlike TryConsumeSlot it needs no chain
+  // cap: processing in place transfers no control.
+  bool LeadsAt(const SimThread& t, uint64_t cycle) const {
+    if (!wake_fast_path_ || t.abort_requested_) {
+      return false;
+    }
+    if (has_next_) {
+      return cycle < next_.cycle;
+    }
+    return events_.empty() || cycle < events_.top().cycle;
   }
 
   void ProcessAccess(SimThread& t, const SimThread::PendingOp& op);

@@ -2,16 +2,20 @@
 // Coroutine task type used to express simulated thread code.
 //
 // Simulated threads (and every function they call that touches simulated
-// memory) are C++20 coroutines returning Task<T>. Awaiting a child task
-// transfers control into it symmetrically; when the child finishes, its
+// memory) are C++20 coroutines returning Task<T>. The typed TM barriers are
+// the exception: Tx::Read/Write return an awaiter (asftm::BarrierAwaiter)
+// that runs the runtime's barrier task, or issues the access itself when the
+// barrier is one access, so they add no frame of their own. Awaiting a child
+// task transfers control into it symmetrically; when the child finishes, its
 // final suspend transfers control back to the awaiting parent. A task tree
 // that is suspended (always at a memory-access awaitable, see scheduler.h)
 // can be destroyed from the outside: destroying the outermost frame runs the
-// destructors of its locals, which destroys the child Task objects held in
-// the frame and thereby the entire tree. The TM runtimes use this to
-// implement transaction aborts without exceptions: ASF rolls execution back
-// to the instruction after SPECULATE; we roll back by destroying the
-// attempt's coroutine tree and resuming the retry loop.
+// destructors of its locals and of the awaiter it is suspended in, which
+// destroys the child Task objects held in the frame and thereby the entire
+// tree. The TM runtimes use this to implement transaction aborts without
+// exceptions: ASF rolls execution back to the instruction after SPECULATE;
+// we roll back by destroying the attempt's coroutine tree and resuming the
+// retry loop.
 #ifndef SRC_SIM_TASK_H_
 #define SRC_SIM_TASK_H_
 

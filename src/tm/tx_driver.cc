@@ -26,27 +26,19 @@ uint64_t ReadHost(uint64_t addr, uint32_t size) {
 }
 
 // Transaction handle for the hardware (speculative-region) path: barriers
-// map 1:1 onto LOCK MOV / RELEASE.
+// map 1:1 onto LOCK MOV / RELEASE. Reads and writes are direct barriers (see
+// BarrierAwaiter); the read takes its value from host memory on resume,
+// which is safe because the line is monitored: any conflicting remote write
+// would have aborted this region before the read resumed.
 class AsfHwTx : public Tx {
  public:
   AsfHwTx(SimThread& t, asf::Machine& machine, const HwCosts& costs, TxThread& pt)
-      : Tx(t), machine_(machine), costs_(costs), pt_(pt) {}
-
-  Task<uint64_t> ReadBarrier(uint64_t addr, uint32_t size) override {
-    SimThread& t = thread();
-    CategoryGuard g(t.core(), CycleCategory::kTxLoadStore);
-    t.core().WorkInstructions(costs_.barrier_instructions);
-    co_await t.Access(AccessKind::kTxLoad, addr, size);
-    // Safe to read host directly: the line is monitored, so any conflicting
-    // remote write would have aborted this region before we resumed.
-    co_return ReadHost(addr, size);
-  }
-
-  Task<void> WriteBarrier(uint64_t addr, uint32_t size, uint64_t value) override {
-    SimThread& t = thread();
-    CategoryGuard g(t.core(), CycleCategory::kTxLoadStore);
-    t.core().WorkInstructions(costs_.barrier_instructions);
-    co_await t.Store(AccessKind::kTxStore, addr, size, value);
+      : Tx(t), machine_(machine), costs_(costs), pt_(pt) {
+    direct_ = {.reads = true,
+               .writes = true,
+               .load = AccessKind::kTxLoad,
+               .store = AccessKind::kTxStore,
+               .instructions = costs.barrier_instructions};
   }
 
   Task<void> ReleaseBarrier(uint64_t addr, uint32_t size) override {
@@ -94,18 +86,15 @@ class AsfHwTx : public Tx {
 class AsfSerialTx : public Tx {
  public:
   AsfSerialTx(SimThread& t, const HwCosts& costs, TxThread& pt)
-      : Tx(t), costs_(costs), pt_(pt) {}
+      : Tx(t), costs_(costs), pt_(pt) {
+    // Reads are direct plain loads: no concurrent transaction can be in
+    // flight. Writes keep their barrier for the undo log.
+    direct_ = {.reads = true,
+               .load = AccessKind::kLoad,
+               .instructions = costs.barrier_instructions};
+  }
 
   bool irrevocable() const override { return true; }
-
-  Task<uint64_t> ReadBarrier(uint64_t addr, uint32_t size) override {
-    SimThread& t = thread();
-    CategoryGuard g(t.core(), CycleCategory::kTxLoadStore);
-    t.core().WorkInstructions(costs_.barrier_instructions);
-    co_await t.Access(AccessKind::kLoad, addr, size);
-    // Serial-irrevocable: no concurrent transactions can be in flight.
-    co_return ReadHost(addr, size);
-  }
 
   Task<void> WriteBarrier(uint64_t addr, uint32_t size, uint64_t value) override {
     SimThread& t = thread();

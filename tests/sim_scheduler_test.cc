@@ -423,31 +423,49 @@ TEST(EventHeap, PopOrderMatchesPriorityQueueReference) {
   EXPECT_TRUE(ref.empty());
 }
 
+// Fast-vs-slow inputs for WakeFastPathPreservesEventOrder. Each runs on a
+// thread whose SimThread lands in `box` before the scheduler starts.
+struct Box {
+  SimThread* t = nullptr;
+};
+
+// Mixed work amounts create both same-cycle ties (heap-ordered) and
+// strictly-sooner wakes (slot-eligible, and flushes merged in place).
+Task<void> MixedWorkBody(Box* box, SimMutex*) {
+  SimThread& t = *box->t;
+  for (int i = 0; i < 25; ++i) {
+    t.core().WorkCycles((t.id() * 5 + static_cast<uint64_t>(i) * 7) % 13);
+    co_await t.Access(AccessKind::kLoad, 0x2000 + t.id() * 0x100 + static_cast<uint64_t>(i), 8);
+  }
+}
+
+// SimMutex hand-offs: a release parks the next owner's wake in the
+// next-event slot, and the releaser's following access has pending work, so
+// its flush meets another thread's event in the slot.
+Task<void> HandoffBody(Box* box, SimMutex* mu) {
+  SimThread& t = *box->t;
+  for (int i = 0; i < 10; ++i) {
+    co_await mu->Acquire(t);
+    co_await t.Access(AccessKind::kStore, uint64_t{0x3000}, 8);
+    mu->Release(t);
+    t.core().WorkCycles(3 + t.id());
+    co_await t.Access(AccessKind::kLoad, 0x4000 + t.id() * 0x100 + static_cast<uint64_t>(i), 8);
+  }
+}
+
 // With the next-event slot disabled, every wake goes through the heap — the
 // reference behavior. The access event log must be bit-identical either way,
 // and the fast path must actually engage when enabled.
 TEST(Scheduler, WakeFastPathPreservesEventOrder) {
-  auto run_once = [](bool fast_path) {
+  auto run_once = [](bool fast_path, Task<void> (*body)(Box*, SimMutex*)) {
     Scheduler::SetWakeFastPathForTesting(fast_path);
     Scheduler sched(4, NoTimerParams());
     RecordingHandler handler(4);
     sched.SetAccessHandler(&handler);
-    struct Box {
-      SimThread* t = nullptr;
-    };
+    SimMutex mu;
     std::vector<Box> boxes(4);
-    auto body = [](Box* box) -> Task<void> {
-      SimThread& t = *box->t;
-      for (int i = 0; i < 25; ++i) {
-        // Mixed work amounts create both same-cycle ties (heap-ordered) and
-        // strictly-sooner wakes (slot-eligible).
-        t.core().WorkCycles((t.id() * 5 + static_cast<uint64_t>(i) * 7) % 13);
-        co_await t.Access(AccessKind::kLoad, 0x2000 + t.id() * 0x100 + static_cast<uint64_t>(i),
-                          8);
-      }
-    };
     for (auto& b : boxes) {
-      b.t = &sched.Spawn(body(&b));
+      b.t = &sched.Spawn(body(&b, &mu));
     }
     sched.Run();
     uint64_t fast_wakes = sched.fast_wakes();
@@ -458,11 +476,13 @@ TEST(Scheduler, WakeFastPathPreservesEventOrder) {
     }
     return std::make_pair(trace, fast_wakes);
   };
-  auto [slow_trace, slow_fast_wakes] = run_once(false);
-  auto [fast_trace, fast_fast_wakes] = run_once(true);
-  EXPECT_EQ(slow_trace, fast_trace);
-  EXPECT_EQ(slow_fast_wakes, 0u);
-  EXPECT_GT(fast_fast_wakes, 0u);
+  for (auto* body : {&MixedWorkBody, &HandoffBody}) {
+    auto [slow_trace, slow_fast_wakes] = run_once(false, body);
+    auto [fast_trace, fast_fast_wakes] = run_once(true, body);
+    EXPECT_EQ(slow_trace, fast_trace);
+    EXPECT_EQ(slow_fast_wakes, 0u);
+    EXPECT_GT(fast_fast_wakes, 0u);
+  }
 }
 
 }  // namespace

@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 #include <vector>
 
+#include "src/common/frame_pool.h"
 #include "src/common/random.h"
 #include "src/tm/asf_tm.h"
 #include "src/tm/serial_tm.h"
@@ -335,6 +337,111 @@ TEST(TinyStm, ReadOnlyTransactionsCommitWithoutClockBump) {
   EXPECT_EQ(rt.TotalStats().stm_commits, 50u);
   EXPECT_EQ(rt.TotalStats().TotalAborts(), 0u);
 }
+
+uint64_t FrameAllocs() { return asfcommon::FramePool::ForThread().stats().allocs; }
+
+// Coroutine frames allocated by one typed read and one typed write inside a
+// single-threaded block (the runner thread is the simulation's host thread).
+std::pair<uint64_t, uint64_t> FramesPerBarrier(TmRuntime& rt, asf::Machine& m) {
+  Cell cell;
+  Pretouch(m, &cell, sizeof(cell));
+  uint64_t read_frames = ~0ull;
+  uint64_t write_frames = ~0ull;
+  RunWorkers(m, 1, [&](SimThread& t, uint32_t) -> Task<void> {
+    co_await rt.Atomic(t, [&](Tx& tx) -> Task<void> {
+      uint64_t before = FrameAllocs();
+      uint64_t v = co_await tx.Read(&cell.value);
+      read_frames = FrameAllocs() - before;
+      before = FrameAllocs();
+      co_await tx.Write(&cell.value, v + 1);
+      write_frames = FrameAllocs() - before;
+    });
+  });
+  EXPECT_EQ(cell.value, 1u) << rt.name();
+  return {read_frames, write_frames};
+}
+
+TEST(AsfTm, HardwareBarriersAllocateNoFrame) {
+  asf::Machine m(QuietParams(asf::AsfVariant::Llb8(), 1));
+  AsfTm rt(m);
+  EXPECT_EQ(FramesPerBarrier(rt, m), std::make_pair(uint64_t{0}, uint64_t{0}));
+  EXPECT_EQ(rt.TotalStats().hw_commits, 1u);
+}
+
+TEST(TinyStm, BarriersAllocateOneFrameEach) {
+  asf::Machine m(QuietParams(asf::AsfVariant::Llb8(), 1));
+  TinyStm rt(m);
+  EXPECT_EQ(FramesPerBarrier(rt, m), std::make_pair(uint64_t{1}, uint64_t{1}));
+  EXPECT_EQ(rt.TotalStats().stm_commits, 1u);
+}
+
+// Records the core's cycle category when destroyed while still armed: a
+// probe armed across one barrier sees the category that the barrier left
+// behind when an abort destroyed the body mid-barrier.
+struct BarrierProbe {
+  asfsim::Core& core;
+  std::vector<asfsim::CycleCategory>* seen;
+  bool armed = true;
+  ~BarrierProbe() {
+    if (armed) {
+      seen->push_back(core.category());
+    }
+  }
+};
+
+// Thread 1 keeps hitting a cold line with plain accesses while thread 0's
+// hardware attempt works on it: a store conflicts with a direct read, a load
+// with a direct write. The line's RAM latency leaves the attempt suspended
+// in the barrier when the conflict lands.
+void AbortInsideDirectBarrier(bool in_write) {
+  asf::Machine m(QuietParams(asf::AsfVariant::Llb8(), 2));
+  AsfTm rt(m);
+  Cell target;
+  Cell out;
+  Pretouch(m, &target, sizeof(target));
+  Pretouch(m, &out, sizeof(out));
+  std::vector<asfsim::CycleCategory> seen;
+  RunWorkers(m, 2, [&](SimThread& t, uint32_t tid) -> Task<void> {
+    if (tid == 1) {
+      for (int i = 0; i < 200; ++i) {
+        t.core().WorkCycles(20);
+        if (in_write) {
+          co_await t.Access(asfsim::AccessKind::kLoad, &target.value, 8);
+        } else {
+          co_await t.Store(asfsim::AccessKind::kStore, &target.value, 8, 0);
+        }
+      }
+      co_return;
+    }
+    co_await rt.Atomic(t, [&](Tx& tx) -> Task<void> {
+      BarrierProbe probe{t.core(), &seen};
+      if (in_write) {
+        co_await tx.Write(&target.value, uint64_t{7});
+        probe.armed = false;
+      } else {
+        uint64_t v = co_await tx.Read(&target.value);
+        probe.armed = false;
+        co_await tx.Write(&out.value, v + 1);
+      }
+    });
+    EXPECT_EQ(t.core().category(), asfsim::CycleCategory::kOutsideTx);
+  });
+  EXPECT_EQ(in_write ? target.value : out.value, in_write ? 7u : 1u);
+  TxStats total = rt.TotalStats();
+  EXPECT_EQ(total.Commits(), 1u);
+  EXPECT_GE(total.Aborts(AbortCause::kContention), 1u);
+  // At least one abort hit the attempt inside the barrier, and each such
+  // unwind handed the body back its own category, as the barrier
+  // coroutine's CategoryGuard did.
+  ASSERT_FALSE(seen.empty());
+  for (asfsim::CycleCategory c : seen) {
+    EXPECT_EQ(c, asfsim::CycleCategory::kTxAppCode);
+  }
+}
+
+TEST(AsfTm, AbortInsideDirectReadRetriesAndRestoresCategory) { AbortInsideDirectBarrier(false); }
+
+TEST(AsfTm, AbortInsideDirectWriteRetriesAndRestoresCategory) { AbortInsideDirectBarrier(true); }
 
 TEST(TxAllocator, AttemptRollbackReturnsMemory) {
   TxAllocator alloc(nullptr, 1024, 64);

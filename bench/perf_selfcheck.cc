@@ -14,7 +14,7 @@
 // any digest shifted, so a host-side "optimization" that changes simulated
 // results cannot land silently (the bit-identity gate for the frame pool and
 // the scheduler/memory fast paths), or if a deterministic host work count of
-// the serial pass shifted (wakes, inline wakes, memory accesses, memo hits,
+// the serial pass shifted (wakes, in-place accesses, memory accesses, memo hits,
 // frame allocations), so a fast path cannot stop engaging silently either.
 #include <chrono>
 #include <cstdio>
@@ -111,6 +111,7 @@ PassResult RunPass(const std::vector<harness::IntsetConfig>& grid, uint32_t jobs
     pass.committed_tx += r.committed_tx;
     pass.host.wakes += r.host.wakes;
     pass.host.fast_wakes += r.host.fast_wakes;
+    pass.host.accesses += r.host.accesses;
     pass.host.inline_wakes += r.host.inline_wakes;
     pass.host.mem_accesses += r.host.mem_accesses;
     pass.host.mem_line_hits += r.host.mem_line_hits;
@@ -354,20 +355,22 @@ int main(int argc, char** argv) {
                 asfcommon::Table::Int(static_cast<long long>(parallel.committed_tx))});
   report.Print(table);
 
-  // Host fast-path telemetry (serial pass): how often the scheduler's
-  // next-event slot, the memory system's memo and the coroutine frame
-  // recycler removed work from the per-access path.
+  // Host fast-path telemetry (serial pass): how many wakes the scheduler
+  // took, how many were the earliest event when scheduled, how often an
+  // access completed in place with no wake, and how often the memory
+  // system's memo and the coroutine frame recycler removed work from the
+  // per-access path.
   const uint64_t frame_allocs = frames_after.allocs - frames_before.allocs;
   const uint64_t frame_hits = frames_after.pool_hits - frames_before.pool_hits;
   asfcommon::Table fast(kFastPathTableTitle);
   fast.SetHeader({"layer", "events", "fast-path hits", "hit rate"});
-  fast.AddRow({"scheduler wakes", asfcommon::Table::Int(static_cast<long long>(serial.host.wakes)),
+  fast.AddRow({"wakes scheduled", asfcommon::Table::Int(static_cast<long long>(serial.host.wakes)),
                asfcommon::Table::Int(static_cast<long long>(serial.host.fast_wakes)),
                Pct(serial.host.fast_wakes, serial.host.wakes)});
-  fast.AddRow({"scheduler wakes (inline)",
-               asfcommon::Table::Int(static_cast<long long>(serial.host.wakes)),
+  fast.AddRow({"accesses completed in place",
+               asfcommon::Table::Int(static_cast<long long>(serial.host.accesses)),
                asfcommon::Table::Int(static_cast<long long>(serial.host.inline_wakes)),
-               Pct(serial.host.inline_wakes, serial.host.wakes)});
+               Pct(serial.host.inline_wakes, serial.host.accesses)});
   fast.AddRow({"mem accesses (line memo)",
                asfcommon::Table::Int(static_cast<long long>(serial.host.mem_accesses)),
                asfcommon::Table::Int(static_cast<long long>(serial.host.mem_line_hits)),

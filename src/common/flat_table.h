@@ -233,7 +233,12 @@ class FlatSet64 {
     return true;
   }
 
+  // An empty set returns at once: the slot array never shrinks, and a set
+  // that is cleared on every commit and abort often holds nothing.
   void Clear() {
+    if (size_ == 0) {
+      return;
+    }
     keys_.assign(keys_.size(), flat_internal::kEmptyKey);
     size_ = 0;
   }
@@ -242,6 +247,9 @@ class FlatSet64 {
   // must not mutate the set while iterating.
   template <typename Fn>
   void ForEach(Fn&& fn) const {
+    if (size_ == 0) {
+      return;
+    }
     for (uint64_t k : keys_) {
       if (k != flat_internal::kEmptyKey) {
         fn(k);

@@ -93,12 +93,13 @@ struct CycleBreakdown {
 
 // Host-side simulator-performance counters for a whole run (zero simulated
 // cost; never part of result digests). Reported by bench/perf_selfcheck to
-// show how often the scheduler's next-event slot and the memory system's
-// last-line/last-page memoization fire.
+// show how often the scheduler completes an access in place and how often
+// the memory system's last-line/last-page memoization fires.
 struct HostPerf {
   uint64_t wakes = 0;          // Scheduler wakes scheduled.
-  uint64_t fast_wakes = 0;     // Wakes that took the next-event slot.
-  uint64_t inline_wakes = 0;   // Slot wakes consumed at the suspension point.
+  uint64_t fast_wakes = 0;     // Wakes that were the earliest event when scheduled.
+  uint64_t accesses = 0;       // Accesses the scheduler processed.
+  uint64_t inline_wakes = 0;   // Accesses that completed in place, with no wake.
   uint64_t mem_accesses = 0;   // MemorySystem::Access calls.
   uint64_t mem_line_hits = 0;  // Full memo fast path (TLB+directory skipped).
   uint64_t mem_page_hits = 0;  // Translation memo only.

@@ -96,6 +96,7 @@ IntsetResult MeasuredRun::Collect() {
   }
   r.host.wakes = m.scheduler().wakes_scheduled();
   r.host.fast_wakes = m.scheduler().fast_wakes();
+  r.host.accesses = m.scheduler().accesses();
   r.host.inline_wakes = m.scheduler().inline_wakes();
   const asfmem::MemFastPathStats& fp = m.mem().fast_path_stats();
   r.host.mem_accesses = fp.accesses;

@@ -42,7 +42,7 @@ void SimThread::MarkAbort(AbortCause cause) {
   abort_cause_ = cause;
 }
 
-std::coroutine_handle<> SimThread::SubmitPendingOp(const PendingOp& op) {
+bool SimThread::SubmitPendingOp(const PendingOp& op) {
   // TakePendingWork advances the clock by the accumulated ALU work (charging
   // each batch to its recording category); the access is then processed at
   // its true issue cycle, in global order.
@@ -57,26 +57,15 @@ std::coroutine_handle<> SimThread::SubmitPendingOp(const PendingOp& op) {
     phase_ = Phase::kFlushWork;
     pending_ = op;
     scheduler_->ScheduleWake(*this, core_->clock());
-    return std::noop_coroutine();
+    return false;
   }
   // The thread is at the global minimum cycle; processing now preserves
   // ordering.
   scheduler_->ProcessAccess(*this, op);
-  // ProcessAccess scheduled this thread's completion wake. If it parked in
-  // the slot (and no abort was marked while processing), it is again the
-  // global minimum: transfer control straight back into the thread instead
-  // of unwinding through the event loop.
-  if (!scheduler_->TryConsumeSlot(*this)) {
-    return std::noop_coroutine();
-  }
-  std::coroutine_handle<> h = resume_point_;
-  resume_point_ = nullptr;
-  return h;
+  return scheduler_->CompleteAccess(*this);
 }
 
-std::coroutine_handle<> SimThread::AccessAwaiter::await_suspend(
-    std::coroutine_handle<> h) noexcept {
-  t.resume_point_ = h;
+bool SimThread::AccessAwaiter::await_ready() noexcept {
   PendingOp op;
   op.kind = kind;
   op.addr = addr;
@@ -86,8 +75,7 @@ std::coroutine_handle<> SimThread::AccessAwaiter::await_suspend(
   return t.SubmitPendingOp(op);
 }
 
-std::coroutine_handle<> SimThread::LoadAwaiter::await_suspend(std::coroutine_handle<> h) noexcept {
-  t.resume_point_ = h;
+bool SimThread::LoadAwaiter::await_ready() noexcept {
   PendingOp op;
   op.kind = kind;
   op.addr = addr;
@@ -96,8 +84,7 @@ std::coroutine_handle<> SimThread::LoadAwaiter::await_suspend(std::coroutine_han
   return t.SubmitPendingOp(op);
 }
 
-std::coroutine_handle<> SimThread::RmwAwaiter::await_suspend(std::coroutine_handle<> h) noexcept {
-  t.resume_point_ = h;
+bool SimThread::RmwAwaiter::await_ready() noexcept {
   PendingOp op;
   op.kind = AccessKind::kStore;
   op.addr = addr;
@@ -152,7 +139,8 @@ void Scheduler::SetChooser(ScheduleChooser* chooser) {
 }
 
 Scheduler::Scheduler(uint32_t num_cores, const CoreParams& params)
-    : wake_fast_path_(g_wake_fast_path.load(std::memory_order_relaxed)) {
+    : pending_(num_cores, kEmptySlot),
+      wake_fast_path_(g_wake_fast_path.load(std::memory_order_relaxed)) {
   cores_.reserve(num_cores);
   for (uint32_t i = 0; i < num_cores; ++i) {
     cores_.push_back(std::make_unique<Core>(i, params));
@@ -184,38 +172,48 @@ SimThread& Scheduler::Spawn(Task<void> root) {
 }
 
 void Scheduler::ScheduleWake(SimThread& t, uint64_t cycle, bool yield) {
-  SchedEvent ev{cycle, next_seq_++, &t, yield};
-  if (!wake_fast_path_) {
-    events_.push(ev);
-    return;
-  }
-  // Next-event slot: in the common case the thread the loop just woke
-  // re-schedules itself ahead of everything queued (it was the global
-  // minimum, and its next wake is current cycle + latency while other
-  // threads' events lie further out). Parking that event in a one-slot
-  // buffer instead of the heap removes a push+pop per access. A new event
-  // that beats every queued one strictly precedes them in (cycle, seq) —
-  // ties lose to queued events because their seq is smaller — so consuming
-  // the slot first in Run() preserves the exact reference order.
-  if (!has_next_) {
-    if (events_.empty() || EventBefore(ev, events_.top())) {
-      next_ = ev;
-      has_next_ = true;
-      ++fast_wakes_;
-    } else {
-      events_.push(ev);
-    }
-    return;
-  }
-  if (EventBefore(ev, next_)) {
-    // The newcomer beats the parked event; demote the old occupant. The slot
-    // invariant (next_ precedes events_.top()) holds: ev < next_ <= old top.
-    events_.push(next_);
-    next_ = ev;
+  SchedEvent& slot = pending_[t.id()];
+  ASF_CHECK_MSG(slot.thread == nullptr, "a thread has at most one pending event");
+  slot = SchedEvent{cycle, next_seq_++, &t, yield};
+  // The new event has the largest seq, so it is the earliest iff its cycle
+  // precedes the current earliest's.
+  if (earliest_ == kNoEvent || cycle < pending_[earliest_].cycle) {
+    earliest_ = t.id();
     ++fast_wakes_;
-  } else {
-    events_.push(ev);
   }
+}
+
+SchedEvent Scheduler::Take(uint32_t i) {
+  const SchedEvent ev = pending_[i];
+  pending_[i] = kEmptySlot;
+  if (i == earliest_) {
+    // Branch-free minimum: (cycle, seq) as one 128-bit key compiles to a
+    // compare and conditional moves. The earliest event is a different core
+    // from one dispatch to the next, so a branch on each comparison would
+    // mispredict about as often as not. Empty slots hold the largest key.
+    using Key = unsigned __int128;
+    uint32_t best = kNoEvent;
+    Key best_key = ~Key{0};
+    for (uint32_t j = 0; j < pending_.size(); ++j) {
+      const Key key = (Key{pending_[j].cycle} << 64) | pending_[j].seq;
+      const bool before = key < best_key;
+      best = before ? j : best;
+      best_key = before ? key : best_key;
+    }
+    earliest_ = best;
+  }
+  return ev;
+}
+
+bool Scheduler::CompleteAccess(SimThread& t) {
+  const uint64_t cycle = t.core_->clock();
+  if (inline_chain_ < kMaxInlineChain && LeadsAt(t, cycle)) {
+    ++inline_chain_;
+    ++inline_wakes_;
+    return true;
+  }
+  ScheduleWake(t, cycle);
+  return false;
 }
 
 void Scheduler::Run() {
@@ -228,45 +226,25 @@ void Scheduler::Run() {
   ASF_CHECK_MSG(!host_busy_.exchange(true, std::memory_order_acquire),
                 "Scheduler::Run entered from two host threads");
   running_ = true;
-  while (has_next_ || !events_.empty()) {
+  while (earliest_ != kNoEvent) {
     inline_chain_ = 0;  // Control is back in the loop; the host stack is flat.
-    SchedEvent ev;
-    if (has_next_) {
-      // Slot invariant: the parked event precedes everything in the heap.
-      ev = next_;
-      has_next_ = false;
-    } else if (chooser_ == nullptr) {
-      ev = events_.top();
-      events_.pop();
-    } else {
-      // Chooser mode: drain the heap (pop order is already (cycle, seq)-
-      // sorted) into the pending set, let the chooser pick, re-queue the
-      // rest. Re-pushed events keep their original seq, so later drains
-      // re-sort them into the exact same reference order.
+    uint32_t slot = earliest_;
+    if (chooser_ != nullptr) {
+      // Chooser mode: hand the chooser the whole pending set, sorted by
+      // (cycle, seq); the events it does not pick stay in their slots.
       eligible_.clear();
-      while (!events_.empty()) {
-        if (!events_.top().thread->finished_) {
-          eligible_.push_back(events_.top());
+      for (const SchedEvent& e : pending_) {
+        if (e.thread != nullptr) {
+          eligible_.push_back(e);
         }
-        events_.pop();
       }
-      if (eligible_.empty()) {
-        break;
-      }
+      std::sort(eligible_.begin(), eligible_.end(), EventBefore);
       const size_t pick = eligible_.size() > 1 ? chooser_->Choose(eligible_) : 0;
       ASF_CHECK_MSG(pick < eligible_.size(), "chooser picked an out-of-range event");
-      ev = eligible_[pick];
-      for (size_t i = 0; i < eligible_.size(); ++i) {
-        if (i != pick) {
-          events_.push(eligible_[i]);
-        }
-      }
+      slot = eligible_[pick].thread->id();
     }
-    SimThread& t = *ev.thread;
-    if (t.finished_) {
-      continue;
-    }
-    OnWake(t, ev.cycle);
+    const SchedEvent ev = Take(slot);
+    OnWake(*ev.thread, ev.cycle);
   }
   running_ = false;
   host_busy_.store(false, std::memory_order_release);
@@ -293,12 +271,17 @@ void Scheduler::OnWake(SimThread& t, uint64_t cycle) {
   if (t.phase_ == SimThread::Phase::kFlushWork) {
     t.phase_ = SimThread::Phase::kIdle;
     ProcessAccess(t, t.pending_);
-    return;
+    // A completion that leads resumes the thread now, as the loop's next
+    // iteration would.
+    if (!CompleteAccess(t)) {
+      return;
+    }
   }
   ResumeThread(t);
 }
 
 void Scheduler::ProcessAccess(SimThread& t, const SimThread::PendingOp& op) {
+  ++accesses_;
   Core& core = *t.core_;
   // Timer interrupt delivery is checked at access boundaries (the paper's
   // regions abort on any interrupt; OS tick cost is charged either way).
@@ -306,7 +289,6 @@ void Scheduler::ProcessAccess(SimThread& t, const SimThread::PendingOp& op) {
     core.AdvanceTo(core.clock() + core.params().timer_cost);
     if (handler_->OnInterrupt(t)) {
       t.MarkAbort(AbortCause::kInterrupt);
-      ScheduleWake(t, core.clock());
       return;
     }
   }
@@ -358,7 +340,6 @@ void Scheduler::ProcessAccess(SimThread& t, const SimThread::PendingOp& op) {
       }
     }
   }
-  ScheduleWake(t, core.clock());
 }
 
 void Scheduler::DoControlAbort(SimThread& t) {

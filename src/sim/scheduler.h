@@ -1,11 +1,17 @@
 // Copyright (c) 2026 The asf-tm-stack Authors. All rights reserved.
 // Deterministic execution-driven scheduler for simulated multicore runs.
 //
-// Simulated threads are coroutines (see task.h) bound 1:1 to Cores. Every
-// memory access suspends the issuing thread into the scheduler, which always
-// wakes the thread with the smallest pending cycle (ties broken by schedule
-// order), so memory events are processed in global cycle order and the whole
-// simulation is single-host-threaded and bit-for-bit reproducible.
+// Simulated threads are coroutines (see task.h) bound 1:1 to Cores. A
+// thread has at most one pending event, so the pending set is a table of
+// one slot per core plus the index of the earliest slot. The scheduler
+// always wakes the thread with the smallest pending cycle (ties broken by
+// schedule order), so memory events are processed in global cycle order and
+// the whole simulation is single-host-threaded and bit-for-bit reproducible.
+//
+// An access is processed when it is issued if its issue cycle leads every
+// pending event. Its completion wake is scheduled only if another thread's
+// event lies inside its latency; otherwise the access completes in place and
+// the issuing coroutine never suspends.
 //
 // Plain computation is charged lazily (Core::WorkInstructions) and flushed
 // before the next access is processed, by an extra suspension whenever
@@ -44,8 +50,7 @@ class Scheduler;
 class SimThread;
 
 // One pending wake-up. `seq` is the global schedule order and breaks cycle
-// ties, so (cycle, seq) is a strict total order over all events ever queued —
-// pop order is therefore independent of the container's internal layout.
+// ties, so (cycle, seq) is a strict total order over all events ever queued.
 struct SchedEvent {
   uint64_t cycle = 0;
   uint64_t seq = 0;
@@ -61,74 +66,16 @@ constexpr bool EventBefore(const SchedEvent& a, const SchedEvent& b) {
   return a.cycle != b.cycle ? a.cycle < b.cycle : a.seq < b.seq;
 }
 
-// Min-heap of SchedEvents ordered by (cycle, seq), laid out as an inline
-// 4-ary heap: one level of a 4-ary heap spans a single cache line of events,
-// so sift-down touches ~half the cache lines of the equivalent binary heap.
-// Because (cycle, seq) is a strict total order, pop order is identical to
-// std::priority_queue with the same comparator — asserted by
-// tests/sim_scheduler_test.cc against a reference run.
-class EventHeap {
- public:
-  bool empty() const { return v_.empty(); }
-  size_t size() const { return v_.size(); }
-  const SchedEvent& top() const { return v_.front(); }
-
-  void push(const SchedEvent& e) {
-    size_t i = v_.size();
-    v_.push_back(e);
-    while (i != 0) {
-      size_t parent = (i - 1) / kArity;
-      if (!EventBefore(v_[i], v_[parent])) {
-        break;
-      }
-      std::swap(v_[i], v_[parent]);
-      i = parent;
-    }
-  }
-
-  void pop() {
-    SchedEvent last = v_.back();
-    v_.pop_back();
-    if (v_.empty()) {
-      return;
-    }
-    size_t i = 0;
-    const size_t n = v_.size();
-    for (;;) {
-      size_t first = i * kArity + 1;
-      if (first >= n) {
-        break;
-      }
-      size_t best = first;
-      size_t end = first + kArity < n ? first + kArity : n;
-      for (size_t c = first + 1; c < end; ++c) {
-        if (EventBefore(v_[c], v_[best])) {
-          best = c;
-        }
-      }
-      if (!EventBefore(v_[best], last)) {
-        break;
-      }
-      v_[i] = v_[best];
-      i = best;
-    }
-    v_[i] = last;
-  }
-
- private:
-  static constexpr size_t kArity = 4;
-  std::vector<SchedEvent> v_;
-};
-
 // Interleaving chooser (model checking; see src/litmus). When one is
 // installed, every event-loop iteration surfaces the *entire* pending-event
 // set — one event per runnable thread, sorted by (cycle, seq) — and asks the
-// chooser which event to dispatch next. Index 0 is the reference choice (the
-// event the default scheduler would pop), so a chooser that always returns 0
-// reproduces the default execution exactly. Per-thread program order is
-// preserved for free: a thread has at most one pending event, so any pop
-// order is a legal interleaving of the per-thread sequences, and core clocks
-// stay monotonic (OnWake advances only the woken thread's own core).
+// chooser which event to dispatch next; the others stay in their slots.
+// Index 0 is the reference choice (the event the default scheduler would
+// take), so a chooser that always returns 0 reproduces the default execution
+// exactly. Per-thread program order is preserved for free: a thread has at
+// most one pending event, so any dispatch order is a legal interleaving of
+// the per-thread sequences, and core clocks stay monotonic (OnWake advances
+// only the woken thread's own core).
 class ScheduleChooser {
  public:
   virtual ~ScheduleChooser() = default;
@@ -195,20 +142,23 @@ class SimThread {
   // exact.
   struct AccessAwaiter {
     SimThread& t;
-    AccessKind kind;
     uint64_t addr;
     uint32_t size;
+    AccessKind kind;
     bool has_value = false;
     uint64_t value = 0;
-    bool await_ready() const noexcept { return false; }
-    std::coroutine_handle<> await_suspend(std::coroutine_handle<> h) noexcept;
+    // Processes the access; true iff it completed in place, so the caller
+    // goes on without suspending. Otherwise its wake is pending, and
+    // await_suspend only records where to resume.
+    bool await_ready() noexcept;
+    void await_suspend(std::coroutine_handle<> h) noexcept { t.resume_point_ = h; }
     void await_resume() const noexcept {}
   };
   AccessAwaiter Access(AccessKind kind, uint64_t addr, uint32_t size) {
-    return AccessAwaiter{*this, kind, addr, size};
+    return AccessAwaiter{*this, addr, size, kind};
   }
   AccessAwaiter Access(AccessKind kind, const void* p, uint32_t size) {
-    return AccessAwaiter{*this, kind, reinterpret_cast<uint64_t>(p), size};
+    return AccessAwaiter{*this, reinterpret_cast<uint64_t>(p), size, kind};
   }
 
   // A data-carrying store (size <= 8 bytes, little-endian): host memory is
@@ -216,7 +166,7 @@ class SimThread {
   // LLB backup — the write is atomic with its coherence effects.
   AccessAwaiter Store(AccessKind kind, uint64_t addr, uint32_t size, uint64_t value) {
     ASF_CHECK(size <= 8);
-    return AccessAwaiter{*this, kind, addr, size, true, value};
+    return AccessAwaiter{*this, addr, size, kind, true, value};
   }
   AccessAwaiter Store(AccessKind kind, const void* p, uint32_t size, uint64_t value) {
     return Store(kind, reinterpret_cast<uint64_t>(p), size, value);
@@ -237,8 +187,8 @@ class SimThread {
     AccessKind kind;
     uint64_t addr;
     uint32_t size;
-    bool await_ready() const noexcept { return false; }
-    std::coroutine_handle<> await_suspend(std::coroutine_handle<> h) noexcept;
+    bool await_ready() noexcept;  // As AccessAwaiter.
+    void await_suspend(std::coroutine_handle<> h) noexcept { t.resume_point_ = h; }
     uint64_t await_resume() const noexcept { return t.load_result_; }
   };
   LoadAwaiter Load(AccessKind kind, uint64_t addr, uint32_t size) {
@@ -261,8 +211,8 @@ class SimThread {
     bool is_cas;        // true: CAS(expected, operand); false: fetch-add(operand).
     uint64_t expected;
     uint64_t operand;
-    bool await_ready() const noexcept { return false; }
-    std::coroutine_handle<> await_suspend(std::coroutine_handle<> h) noexcept;
+    bool await_ready() noexcept;  // As AccessAwaiter.
+    void await_suspend(std::coroutine_handle<> h) noexcept { t.resume_point_ = h; }
     uint64_t await_resume() const noexcept { return t.rmw_result_; }
   };
   RmwAwaiter Cas(const void* p, uint32_t size, uint64_t expected, uint64_t desired) {
@@ -337,11 +287,10 @@ class SimThread {
   };
 
   // Flushes pending work cycles, then processes `op` at its issue cycle.
-  // Returns the coroutine to transfer into from the awaiter's await_suspend:
-  // this thread's own resume point when the access completed synchronously
-  // (see Scheduler::TryConsumeSlot), or std::noop_coroutine() to suspend
-  // into the event loop.
-  std::coroutine_handle<> SubmitPendingOp(const PendingOp& op);
+  // Returns true iff the access completed in place (see
+  // Scheduler::CompleteAccess); otherwise this thread has a pending wake
+  // and its awaiter suspends.
+  bool SubmitPendingOp(const PendingOp& op);
 
   PendingOp pending_;
   uint64_t rmw_result_ = 0;
@@ -382,77 +331,64 @@ class Scheduler {
   uint64_t MaxCycle() const;
 
   // Schedules thread `t` to wake at `cycle` (used internally and by sync
-  // primitives).
+  // primitives). `t` must have no pending event.
   void ScheduleWake(SimThread& t, uint64_t cycle, bool yield = false);
 
-  // Host-side wake accounting (perf counters, zero simulated cost): total
-  // wakes ever scheduled, how many took the next-event fast path (no heap
-  // traffic), and how many of those were consumed inline — handled at the
-  // suspension point itself, without an event-loop iteration.
-  // bench/perf_selfcheck reports the hit rates.
+  // Host-side accounting (perf counters, zero simulated cost): wakes ever
+  // scheduled, how many of them were the earliest pending event when
+  // scheduled, accesses processed, and how many of those completed in place
+  // with no wake. bench/perf_selfcheck reports the shares.
   uint64_t wakes_scheduled() const { return next_seq_; }
   uint64_t fast_wakes() const { return fast_wakes_; }
+  uint64_t accesses() const { return accesses_; }
   uint64_t inline_wakes() const { return inline_wakes_; }
 
-  // Test hook: globally disables the next-event wake fast path for
-  // schedulers constructed afterwards, forcing every event through the heap.
-  // The determinism tests run both ways and assert identical event orders.
+  // Test hook: globally disables in-place processing for schedulers
+  // constructed afterwards, so every work flush and every access completion
+  // takes a wake through the event loop. The determinism tests run both ways
+  // and assert identical event orders.
   static void SetWakeFastPathForTesting(bool enabled);
 
   // Installs an interleaving chooser (model checking; see src/litmus). Must
-  // be called before any thread is spawned: chooser mode turns off the
-  // next-event slot and inline-wake fast paths so every scheduled wake is
-  // visible in the pending set handed to the chooser. Pass nullptr to
-  // detach (fast paths stay off for this scheduler's lifetime).
+  // be called before any thread is spawned: chooser mode turns off in-place
+  // processing so every wake is visible in the pending set handed to the
+  // chooser. Pass nullptr to detach (in-place processing stays off for this
+  // scheduler's lifetime).
   void SetChooser(ScheduleChooser* chooser);
 
  private:
   friend class SimThread;
 
+  static constexpr uint32_t kNoEvent = ~uint32_t{0};
+  static constexpr SchedEvent kEmptySlot{~uint64_t{0}, ~uint64_t{0}, nullptr, false};
+
   void OnWake(SimThread& t, uint64_t cycle);
 
-  // Inline-wake fast path: if the next-event slot holds `t`'s own wake and no
-  // abort is pending, that wake is the global minimum (slot invariant) and
-  // Run()'s next iteration would do nothing but advance `t`'s clock and hand
-  // control straight back — so do exactly that here, at the suspension point,
-  // and let the awaiter symmetric-transfer into the thread without ever
-  // unwinding to the event loop. Returns true iff the slot was consumed; the
-  // caller performs the phase-specific half of OnWake itself. Order-neutral
-  // by construction: the consumed event is the one Run() would pop next, and
-  // the same operations are applied to it.
-  //
-  // The chain cap: symmetric transfer is only a guaranteed tail call under
-  // optimization — ASan/-O0 builds grow one host stack frame group per hop.
-  // Every kMaxInlineChain consecutive inline wakes the transfer yields back
-  // to Run() (which resets the counter), bounding host stack depth in any
-  // build while keeping >95% of eligible wakes inline.
-  bool TryConsumeSlot(SimThread& t) {
-    if (!has_next_ || next_.thread != &t || t.abort_requested_ ||
-        inline_chain_ >= kMaxInlineChain) {
-      return false;
-    }
-    has_next_ = false;
-    ++inline_chain_;
-    ++inline_wakes_;
-    t.core_->AdvanceTo(next_.cycle);
-    return true;
+  // True iff an event of `t` at `cycle` would be dispatched next: it
+  // precedes every pending event (ties lose, since a new event's seq is the
+  // largest) and no abort is pending. No other thread can then act before
+  // `cycle`, so `t` may go on in place. Always false with the fast path off,
+  // so a chooser sees every wake.
+  bool LeadsAt(const SimThread& t, uint64_t cycle) const {
+    return wake_fast_path_ && !t.abort_requested_ &&
+           (earliest_ == kNoEvent || cycle < pending_[earliest_].cycle);
   }
 
-  // Flush-merge test: true iff a wake of `t` at `cycle` would park in the
-  // next-event slot (it precedes every pending event: ties lose, since a new
-  // event's seq is the largest) and no abort is pending, so that Run() would
-  // pop it next and process `t`'s access. Off with the fast paths, so a
-  // chooser sees every flush wake. Unlike TryConsumeSlot it needs no chain
-  // cap: processing in place transfers no control.
-  bool LeadsAt(const SimThread& t, uint64_t cycle) const {
-    if (!wake_fast_path_ || t.abort_requested_) {
-      return false;
-    }
-    if (has_next_) {
-      return cycle < next_.cycle;
-    }
-    return events_.empty() || cycle < events_.top().cycle;
-  }
+  // Ends an access that ProcessAccess has applied: returns true if its
+  // completion leads every pending event (the access completed in place);
+  // otherwise schedules the completion wake and returns false.
+  //
+  // The chain cap: a thread that completes accesses in place never returns
+  // to Run(), and the symmetric transfers of its Task calls are only
+  // guaranteed tail calls under optimization — ASan/-O0 builds grow the host
+  // stack with each one. After kMaxInlineChain in-place completions in a row
+  // the access takes a wake instead, which unwinds to Run() (which resets the
+  // counter).
+  bool CompleteAccess(SimThread& t);
+
+  // Empties slot `i` and returns its event, finding the new earliest event
+  // if it was the earliest.
+  SchedEvent Take(uint32_t i);
 
   void ProcessAccess(SimThread& t, const SimThread::PendingOp& op);
   void DoControlAbort(SimThread& t);
@@ -462,15 +398,13 @@ class Scheduler {
   Tracer* tracer_ = nullptr;
   std::vector<std::unique_ptr<Core>> cores_;
   std::vector<std::unique_ptr<SimThread>> threads_;
-  EventHeap events_;
-  // Next-event slot: the common wake (the thread just woken re-scheduling
-  // itself ahead of every queued event) parks here and bypasses the heap
-  // entirely. Invariant: when occupied, `next_` precedes events_.top() in
-  // (cycle, seq) order, so Run() may always consume the slot first.
-  SchedEvent next_;
-  bool has_next_ = false;
+  // The pending set: one slot per core (an empty slot is kEmptySlot), and
+  // the slot holding the earliest event in (cycle, seq) order.
+  std::vector<SchedEvent> pending_;
+  uint32_t earliest_ = kNoEvent;
   bool wake_fast_path_;
   uint64_t fast_wakes_ = 0;
+  uint64_t accesses_ = 0;
   uint64_t inline_wakes_ = 0;
   static constexpr uint32_t kMaxInlineChain = 32;
   uint32_t inline_chain_ = 0;
@@ -478,7 +412,7 @@ class Scheduler {
   uint32_t finished_count_ = 0;
   bool running_ = false;
   // Interleaving chooser (null in normal runs); `eligible_` is its reusable
-  // scratch buffer for the drained pending set.
+  // scratch buffer for the sorted pending set.
   ScheduleChooser* chooser_ = nullptr;
   std::vector<SchedEvent> eligible_;
   // Guards against two host threads driving the same scheduler (the sweep

@@ -157,15 +157,6 @@ TinyStm::TinyStm(asf::Machine& machine, const TinyStmParams& params)
 
 TinyStm::~TinyStm() = default;
 
-bool TinyStm::OwnsOrec(const PerThread& pt, const Orec* o) const {
-  for (uint64_t i = 0; i < pt.write_count; ++i) {
-    if (pt.write_set[i].orec == o) {
-      return true;
-    }
-  }
-  return false;
-}
-
 Task<bool> TinyStm::Validate(SimThread& t, PerThread& pt) {
   for (uint64_t i = 0; i < pt.read_count; ++i) {
     const ReadEntry& e = pt.read_set[i];

@@ -121,7 +121,6 @@ class TinyStm : public RetryDriver {
   Orec* OrecFor(uint64_t addr) {
     return &orecs_[((addr - arena_base_) >> 3) & (orec_count_ - 1)];
   }
-  bool OwnsOrec(const PerThread& pt, const Orec* o) const;
 
   asfsim::Task<void> Attempt(asfsim::SimThread& t, TxThread& pt, const BodyFn& body) override;
   // No fallback mode exists, so a kSerialize decision degenerates to an

@@ -30,62 +30,65 @@ namespace asftm {
 
 // Awaiter of one typed barrier (Tx::Read, Tx::Write), with no coroutine frame
 // of its own. It either runs the handle's virtual barrier task or, for a
-// handle with direct barriers, is that barrier: it switches the core to
-// kTxLoadStore, charges the ABI dispatch instructions and issues the one
-// access itself. The caller's cycle category comes back on resume, or in the
-// destructor when an abort destroys the awaiting frame mid-access — the two
-// points where a barrier coroutine's CategoryGuard would restore it. T is the
-// value read, or void for a write.
+// handle with direct barriers, is that barrier: await_ready switches the core
+// to kTxLoadStore, charges the ABI dispatch instructions and issues the one
+// access itself, suspending only if the access does not complete in place.
+// The caller's cycle category comes back on resume, or in the destructor when
+// an abort destroys the awaiting frame mid-access — the two points where a
+// barrier coroutine's CategoryGuard would restore it. T is the value read, or
+// void for a write.
 template <typename T>
 class BarrierAwaiter {
  public:
   using Raw = std::conditional_t<std::is_void_v<T>, void, uint64_t>;
 
-  explicit BarrierAwaiter(asfsim::Task<Raw> task) : task_(std::move(task)) {}
+  BarrierAwaiter(asfsim::SimThread& t, asfsim::Task<Raw> task)
+      : task_(std::move(task)), access_{t, 0, 0, asfsim::AccessKind::kLoad} {}
   BarrierAwaiter(asfsim::SimThread& t, asfsim::AccessKind kind, uint64_t addr, uint32_t size,
                  uint64_t value, uint32_t instructions)
-      : direct_(&t), addr_(addr), value_(value), size_(size), instructions_(instructions),
-        kind_(kind) {}
+      : access_{t, addr, size, kind, std::is_void_v<T>, value}, instructions_(instructions) {}
   BarrierAwaiter(const BarrierAwaiter&) = delete;
   BarrierAwaiter& operator=(const BarrierAwaiter&) = delete;
   ~BarrierAwaiter() {
     if (restore_) {
-      direct_->core().SetCategory(prev_);
+      access_.t.core().SetCategory(prev_);
     }
   }
 
-  bool await_ready() const noexcept { return false; }
-
-  std::coroutine_handle<> await_suspend(std::coroutine_handle<> h) noexcept {
-    if (direct_ == nullptr) {
-      task_.SetContinuation(h);
-      return task_.handle();
+  bool await_ready() noexcept {
+    if (task_.Valid()) {
+      return false;
     }
-    asfsim::Core& core = direct_->core();
+    asfsim::Core& core = access_.t.core();
     prev_ = core.category();
     restore_ = true;
     core.SetCategory(asfsim::CycleCategory::kTxLoadStore);
     core.WorkInstructions(instructions_);
-    if constexpr (std::is_void_v<T>) {
-      return direct_->Store(kind_, addr_, size_, value_).await_suspend(h);
-    } else {
-      return direct_->Access(kind_, addr_, size_).await_suspend(h);
+    return access_.await_ready();
+  }
+
+  std::coroutine_handle<> await_suspend(std::coroutine_handle<> h) noexcept {
+    if (task_.Valid()) {
+      task_.SetContinuation(h);
+      return task_.handle();
     }
+    access_.await_suspend(h);
+    return std::noop_coroutine();
   }
 
   T await_resume() noexcept {
-    if (direct_ != nullptr) {
-      direct_->core().SetCategory(prev_);
+    if (restore_) {
+      access_.t.core().SetCategory(prev_);
       restore_ = false;
     }
     if constexpr (!std::is_void_v<T>) {
       uint64_t raw = 0;
-      if (direct_ == nullptr) {
+      if (task_.Valid()) {
         raw = task_.handle().promise().value;
       } else {
         // Safe to read host memory now: a direct read is a protected load or
         // runs serially, so no conflicting write can have landed meanwhile.
-        std::memcpy(&raw, reinterpret_cast<const void*>(addr_), size_);
+        std::memcpy(&raw, reinterpret_cast<const void*>(access_.addr), access_.size);
       }
       T out;
       std::memcpy(&out, &raw, sizeof(T));
@@ -94,15 +97,13 @@ class BarrierAwaiter {
   }
 
  private:
-  asfsim::Task<Raw> task_;               // The virtual barrier; empty when direct.
-  asfsim::SimThread* direct_ = nullptr;  // The issuing thread of a direct barrier.
-  uint64_t addr_ = 0;
-  uint64_t value_ = 0;  // A direct write's value.
-  uint32_t size_ = 0;
+  asfsim::Task<Raw> task_;  // The virtual barrier; empty when direct.
+  // A direct barrier's access (a write carries its value); unused when
+  // task_ holds the virtual barrier.
+  asfsim::SimThread::AccessAwaiter access_;
   uint32_t instructions_ = 0;
-  asfsim::AccessKind kind_ = asfsim::AccessKind::kLoad;
   asfsim::CycleCategory prev_ = asfsim::CycleCategory::kOutsideTx;
-  bool restore_ = false;  // Suspended in a direct access: prev_ is owed.
+  bool restore_ = false;  // In or past await_ready of a direct access: prev_ is owed.
 };
 
 // Per-attempt transaction handle. A fresh Tx view is passed to the atomic
@@ -133,7 +134,7 @@ class Tx {
     if (direct_.reads) {
       return BarrierAwaiter<T>(thread_, direct_.load, addr, sizeof(T), 0, direct_.instructions);
     }
-    return BarrierAwaiter<T>(ReadBarrier(addr, sizeof(T)));
+    return BarrierAwaiter<T>(thread_, ReadBarrier(addr, sizeof(T)));
   }
 
   template <typename T>
@@ -146,7 +147,7 @@ class Tx {
       return BarrierAwaiter<void>(thread_, direct_.store, addr, sizeof(T), raw,
                                   direct_.instructions);
     }
-    return BarrierAwaiter<void>(WriteBarrier(addr, sizeof(T), raw));
+    return BarrierAwaiter<void>(thread_, WriteBarrier(addr, sizeof(T), raw));
   }
 
   // Early-release hint: drop the object at `p` from the read set (maps to

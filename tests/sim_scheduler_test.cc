@@ -4,7 +4,6 @@
 // remote abort, destructor unwinding), sync primitives, timer interrupts.
 #include <gtest/gtest.h>
 
-#include <queue>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -379,48 +378,15 @@ TEST(Scheduler, DeterministicAcrossRuns) {
   EXPECT_EQ(run_once(), run_once());
 }
 
-// --- EventHeap / wake fast path ---------------------------------------------
+// --- Pending-event table / in-place completion -------------------------------
 
-// The inline 4-ary heap must pop in exactly the order std::priority_queue
-// does. Because (cycle, seq) is a strict total order this is a full
-// equivalence, not just heap-property correctness.
-TEST(EventHeap, PopOrderMatchesPriorityQueueReference) {
-  struct RefCmp {
-    bool operator()(const SchedEvent& a, const SchedEvent& b) const {
-      return !EventBefore(a, b) && (a.cycle != b.cycle || a.seq != b.seq);
-    }
-  };
-  EventHeap heap;
-  std::priority_queue<SchedEvent, std::vector<SchedEvent>, RefCmp> ref;
-  uint64_t state = 0x9e3779b97f4a7c15ull;
-  auto next = [&state]() {
-    state ^= state << 13;
-    state ^= state >> 7;
-    state ^= state << 17;
-    return state;
-  };
-  uint64_t seq = 0;
-  for (int step = 0; step < 20000; ++step) {
-    bool push = heap.empty() || next() % 100 < 60;
-    if (push) {
-      // Clustered cycles force plenty of ties, exercising the seq tiebreak.
-      SchedEvent ev{next() % 64, seq++, nullptr};
-      heap.push(ev);
-      ref.push(ev);
-    } else {
-      ASSERT_EQ(heap.size(), ref.size());
-      ASSERT_EQ(heap.top().cycle, ref.top().cycle) << "step " << step;
-      ASSERT_EQ(heap.top().seq, ref.top().seq) << "step " << step;
-      heap.pop();
-      ref.pop();
-    }
-  }
-  while (!heap.empty()) {
-    ASSERT_EQ(heap.top().seq, ref.top().seq);
-    heap.pop();
-    ref.pop();
-  }
-  EXPECT_TRUE(ref.empty());
+Task<void> IdleBody() { co_return; }
+
+// A thread has at most one pending event; a second wake is a scheduler bug.
+TEST(SchedulerDeathTest, SecondWakeOfAThreadFails) {
+  Scheduler sched(2, NoTimerParams());
+  SimThread& t = sched.Spawn(IdleBody());  // Spawn schedules its first wake.
+  EXPECT_DEATH(sched.ScheduleWake(t, 5), "at most one pending event");
 }
 
 // Fast-vs-slow inputs for WakeFastPathPreservesEventOrder. Each runs on a
@@ -429,8 +395,8 @@ struct Box {
   SimThread* t = nullptr;
 };
 
-// Mixed work amounts create both same-cycle ties (heap-ordered) and
-// strictly-sooner wakes (slot-eligible, and flushes merged in place).
+// Mixed work amounts create both same-cycle ties (ordered by seq) and
+// strictly-sooner completions and flushes (processed in place).
 Task<void> MixedWorkBody(Box* box, SimMutex*) {
   SimThread& t = *box->t;
   for (int i = 0; i < 25; ++i) {
@@ -439,9 +405,9 @@ Task<void> MixedWorkBody(Box* box, SimMutex*) {
   }
 }
 
-// SimMutex hand-offs: a release parks the next owner's wake in the
-// next-event slot, and the releaser's following access has pending work, so
-// its flush meets another thread's event in the slot.
+// SimMutex hand-offs: a release schedules the next owner's wake as the
+// earliest event, and the releaser's following access has pending work, so
+// its flush meets another thread's earlier event.
 Task<void> HandoffBody(Box* box, SimMutex* mu) {
   SimThread& t = *box->t;
   for (int i = 0; i < 10; ++i) {
@@ -453,13 +419,34 @@ Task<void> HandoffBody(Box* box, SimMutex* mu) {
   }
 }
 
-// With the next-event slot disabled, every wake goes through the heap — the
-// reference behavior. The access event log must be bit-identical either way,
-// and the fast path must actually engage when enabled.
+// Always dispatches the earliest pending event, from the sorted set the
+// scheduler hands a chooser rather than from the table's cached minimum.
+class FirstEventChooser : public ScheduleChooser {
+ public:
+  size_t Choose(const std::vector<SchedEvent>&) override { return 0; }
+};
+
+// Three runs per input must log bit-identical access events: the reference
+// (fast path off: every flush and completion takes a wake through the event
+// loop), the default (accesses that lead complete in place), and a chooser
+// that always picks index 0 (fast path off; order from a std::sort of the
+// pending set). In-place processing must actually engage by default.
 TEST(Scheduler, WakeFastPathPreservesEventOrder) {
-  auto run_once = [](bool fast_path, Task<void> (*body)(Box*, SimMutex*)) {
-    Scheduler::SetWakeFastPathForTesting(fast_path);
+  enum class Mode { kReference, kDefault, kFirstChooser };
+  struct Run {
+    std::vector<std::tuple<uint32_t, uint64_t, uint64_t>> trace;
+    uint64_t wakes;
+    uint64_t fast_wakes;
+    uint64_t inline_wakes;
+  };
+  auto run_once = [](Mode mode, Task<void> (*body)(Box*, SimMutex*)) {
+    Scheduler::SetWakeFastPathForTesting(mode != Mode::kReference);
     Scheduler sched(4, NoTimerParams());
+    Scheduler::SetWakeFastPathForTesting(true);  // Restore the default.
+    FirstEventChooser chooser;
+    if (mode == Mode::kFirstChooser) {
+      sched.SetChooser(&chooser);
+    }
     RecordingHandler handler(4);
     sched.SetAccessHandler(&handler);
     SimMutex mu;
@@ -468,20 +455,26 @@ TEST(Scheduler, WakeFastPathPreservesEventOrder) {
       b.t = &sched.Spawn(body(&b, &mu));
     }
     sched.Run();
-    uint64_t fast_wakes = sched.fast_wakes();
-    Scheduler::SetWakeFastPathForTesting(true);  // Restore the default.
-    std::vector<std::tuple<uint32_t, uint64_t, uint64_t>> trace;
+    Run run{{}, sched.wakes_scheduled(), sched.fast_wakes(), sched.inline_wakes()};
     for (const auto& e : handler.log) {
-      trace.emplace_back(e.core, e.addr, e.cycle);
+      run.trace.emplace_back(e.core, e.addr, e.cycle);
     }
-    return std::make_pair(trace, fast_wakes);
+    return run;
   };
   for (auto* body : {&MixedWorkBody, &HandoffBody}) {
-    auto [slow_trace, slow_fast_wakes] = run_once(false, body);
-    auto [fast_trace, fast_fast_wakes] = run_once(true, body);
-    EXPECT_EQ(slow_trace, fast_trace);
-    EXPECT_EQ(slow_fast_wakes, 0u);
-    EXPECT_GT(fast_fast_wakes, 0u);
+    Run reference = run_once(Mode::kReference, body);
+    Run fast = run_once(Mode::kDefault, body);
+    Run chosen = run_once(Mode::kFirstChooser, body);
+    EXPECT_EQ(reference.trace, fast.trace);
+    EXPECT_EQ(chosen.trace, fast.trace);
+    // Some wakes are the earliest event in every mode. Only the default run
+    // processes accesses in place (merged flushes, and completions that
+    // lead), so it schedules fewer wakes.
+    EXPECT_GT(reference.fast_wakes, 0u);
+    EXPECT_EQ(reference.inline_wakes, 0u);
+    EXPECT_EQ(chosen.inline_wakes, 0u);
+    EXPECT_EQ(chosen.wakes, reference.wakes);
+    EXPECT_LT(fast.wakes, reference.wakes);
   }
 }
 

@@ -24,9 +24,11 @@
 //      were not compared at all (pass --allow-unmatched to downgrade this to
 //      informational when the schema change is deliberate)
 //
-// Wall-clock columns ("wall s") and absolute counters are reported but never
-// gate: on shared hosts they are noisy, and a counter change always shows up
-// in a digest or rate anyway.
+// Wall-clock columns ("wall s"), absolute counters and hit-rate columns are
+// reported but never gate: on shared hosts wall-clock is noisy, a counter
+// change always shows up in a digest or rate anyway, and a hit rate falls
+// when a change removes events that used to hit (perf_selfcheck --baseline
+// gates those counts exactly).
 //
 // Digest tables are the exception to all thresholds: any table whose title
 // contains "digest" (e.g. the per-configuration result digests) gates every
@@ -181,8 +183,7 @@ bool ParseNum(const std::string& s, double* out) {
 // Higher-is-better rate columns gate the exit status; everything else is
 // informational.
 bool IsRateColumn(const std::string& header) {
-  return header.find("/s") != std::string::npos || header.find("speedup") != std::string::npos ||
-         header.find("hit rate") != std::string::npos;
+  return header.find("/s") != std::string::npos || header.find("speedup") != std::string::npos;
 }
 
 // Lower-is-better latency percentile columns (the [latency] tables) gate on

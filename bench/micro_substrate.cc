@@ -30,22 +30,30 @@ void BM_CacheTouchInsert(benchmark::State& state) {
 }
 BENCHMARK(BM_CacheTouchInsert);
 
+// One speculative region on an LLB of the capacity given as the argument
+// (8 and 256, the sizes AsfVariant uses): fill it with half reads and half
+// writes, release every other read line, then abort. Items = AddRead,
+// AddWrite and Release calls.
 void BM_LlbAddReleaseRestore(benchmark::State& state) {
-  alignas(64) static uint8_t lines[64 * 64];
-  asf::Llb llb(64);
+  const uint64_t capacity = static_cast<uint64_t>(state.range(0));
+  alignas(64) static uint8_t lines[256 * 64];
+  asf::Llb llb(static_cast<uint32_t>(capacity));
   uint64_t base = reinterpret_cast<uint64_t>(lines) >> 6;
   for (auto _ : state) {
-    for (uint64_t i = 0; i < 32; ++i) {
+    for (uint64_t i = 0; i < capacity / 2; ++i) {
       llb.AddRead(base + i);
     }
-    for (uint64_t i = 32; i < 48; ++i) {
+    for (uint64_t i = capacity / 2; i < capacity; ++i) {
       llb.AddWrite(base + i);
+    }
+    for (uint64_t i = 0; i < capacity / 2; i += 2) {
+      llb.Release(base + i);
     }
     llb.RestoreAll();
   }
-  state.SetItemsProcessed(state.iterations() * 48);
+  state.SetItemsProcessed(state.iterations() * (capacity + capacity / 4));
 }
-BENCHMARK(BM_LlbAddReleaseRestore);
+BENCHMARK(BM_LlbAddReleaseRestore)->Arg(8)->Arg(256);
 
 // Host cost of one MemorySystem::Access on a paper machine's hierarchy, by
 // path. Arg 0: memo hit (one line loaded over and over). Arg 1: L1 hit that

@@ -109,18 +109,7 @@ PassResult RunPass(const std::vector<harness::IntsetConfig>& grid, uint32_t jobs
     const harness::IntsetResult& r = sweep.intset(i);
     pass.sim_cycles += r.measure_cycles;
     pass.committed_tx += r.committed_tx;
-    pass.host.wakes += r.host.wakes;
-    pass.host.fast_wakes += r.host.fast_wakes;
-    pass.host.accesses += r.host.accesses;
-    pass.host.inline_wakes += r.host.inline_wakes;
-    pass.host.mem_accesses += r.host.mem_accesses;
-    pass.host.mem_line_hits += r.host.mem_line_hits;
-    pass.host.mem_page_hits += r.host.mem_page_hits;
-    pass.host.dir_resolutions += r.host.dir_resolutions;
-    pass.host.dir_gate_skips += r.host.dir_gate_skips;
-    pass.host.dir_solo_fast_paths += r.host.dir_solo_fast_paths;
-    pass.host.dir_probes += r.host.dir_probes;
-    pass.host.dir_probe_hits += r.host.dir_probe_hits;
+    pass.host.Add(r.host);
     pass.digests.push_back(DigestOf(r));
   }
   return pass;

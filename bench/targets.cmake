@@ -105,3 +105,7 @@ set_tests_properties(stress_faults_replay PROPERTIES LABELS "stress")
 add_executable(micro_substrate ${CMAKE_SOURCE_DIR}/bench/micro_substrate.cc)
 target_link_libraries(micro_substrate PRIVATE asf_harness benchmark::benchmark)
 set_target_properties(micro_substrate PROPERTIES RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
+# Runs every micro-benchmark once, briefly, so none of them rots between the
+# changes that cite them. Timings from this run are not meaningful.
+add_test(NAME micro_substrate_smoke COMMAND micro_substrate --benchmark_min_time=0.001)
+set_tests_properties(micro_substrate_smoke PROPERTIES LABELS "perf")

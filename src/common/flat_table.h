@@ -1,11 +1,15 @@
 // Copyright (c) 2026 The asf-tm-stack Authors. All rights reserved.
-// Open-addressing hash containers keyed by uint64 for the simulator's hot
-// paths (coherence directory, present-page set, L1 read-set tracking).
+// The simulator's one open-addressing hash table, keyed by uint64. Its users
+// are the conflict directory's line records (FlatMap64), the L1 read-set
+// variant's tracked lines (FlatSet64), the LLB's line index (src/asf/llb.h)
+// and the L1 TLB's page index (src/mem/tlb.h). Each is a host-only lookup
+// index: no simulated result depends on its slot layout.
 //
-// Layout: one flat slot array, linear probing, power-of-two capacity,
-// Fibonacci hashing to spread the low-entropy line/page numbers the
-// simulator uses as keys. Deletion uses backward shifting instead of
-// tombstones, so probe chains never grow stale and lookup cost stays a
+// Layout: a flat key array and a parallel value array, linear probing,
+// power-of-two capacity, Fibonacci hashing to spread the low-entropy
+// line/page numbers the simulator uses as keys. Probes scan only the 8-byte
+// keys and touch one value on a hit. Deletion uses backward shifting instead
+// of tombstones, so probe chains never grow stale and lookup cost stays a
 // short linear scan over one or two cache lines.
 //
 // Constraint: the key value ~0ull is reserved as the empty-slot sentinel.
@@ -14,8 +18,12 @@
 #ifndef SRC_COMMON_FLAT_TABLE_H_
 #define SRC_COMMON_FLAT_TABLE_H_
 
+#include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "src/common/defs.h"
@@ -30,20 +38,10 @@ constexpr uint64_t kEmptyKey = ~0ull;
 // bijection and the high bits mix all input bits.
 constexpr uint64_t kFibMul = 0x9E3779B97F4A7C15ull;
 
-inline bool IsPowerOfTwo(uint64_t v) { return v != 0 && (v & (v - 1)) == 0; }
-
-inline size_t CeilPowerOfTwo(size_t v) {
-  size_t p = 1;
-  while (p < v) {
-    p <<= 1;
-  }
-  return p;
-}
-
 }  // namespace flat_internal
 
 // Flat open-addressing map from uint64 keys to V. V must be cheaply
-// default-constructible and movable; erased slots are reset to V{}.
+// default-constructible and movable; a new key's value starts as V{}.
 template <typename V>
 class FlatMap64 {
  public:
@@ -51,34 +49,38 @@ class FlatMap64 {
 
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
-  size_t capacity() const { return slots_.size(); }
+  size_t capacity() const { return keys_.size(); }
 
   bool Contains(uint64_t key) const { return FindSlot(key) != kNotFound; }
 
   V* Find(uint64_t key) {
     size_t s = FindSlot(key);
-    return s == kNotFound ? nullptr : &slots_[s].value;
+    return s == kNotFound ? nullptr : &values_[s];
   }
   const V* Find(uint64_t key) const {
     size_t s = FindSlot(key);
-    return s == kNotFound ? nullptr : &slots_[s].value;
+    return s == kNotFound ? nullptr : &values_[s];
   }
 
-  // Returns the value for `key`, default-constructing it on first use.
-  V& operator[](uint64_t key) {
+  // Returns the value for `key`, default-constructing it on first use, and
+  // whether this call inserted it.
+  std::pair<V*, bool> TryEmplace(uint64_t key) {
     ASF_CHECK(key != flat_internal::kEmptyKey);
     size_t s = ProbeFor(key);
-    if (slots_[s].key == key) {
-      return slots_[s].value;
+    if (keys_[s] == key) {
+      return {&values_[s], false};
     }
     if (NeedsGrowth()) {
-      Rehash(slots_.size() * 2);
+      Rehash(keys_.size() * 2);
       s = ProbeFor(key);
     }
-    slots_[s].key = key;
+    keys_[s] = key;
+    values_[s] = V{};
     ++size_;
-    return slots_[s].value;
+    return {&values_[s], true};
   }
+
+  V& operator[](uint64_t key) { return *TryEmplace(key).first; }
 
   // Removes `key` if present (backward-shift deletion). Returns true if a
   // mapping was removed.
@@ -87,32 +89,35 @@ class FlatMap64 {
     if (i == kNotFound) {
       return false;
     }
-    const size_t mask = slots_.size() - 1;
+    const size_t mask = keys_.size() - 1;
     size_t j = i;
     for (;;) {
       j = (j + 1) & mask;
-      if (slots_[j].key == flat_internal::kEmptyKey) {
+      if (keys_[j] == flat_internal::kEmptyKey) {
         break;
       }
       // Shift slot j into the hole at i only if its probe chain starts at or
       // before i (cyclically): home..j must span the hole.
-      size_t home = HomeOf(slots_[j].key);
+      size_t home = HomeOf(keys_[j]);
       if (((j - home) & mask) >= ((j - i) & mask)) {
-        slots_[i] = std::move(slots_[j]);
+        keys_[i] = keys_[j];
+        values_[i] = std::move(values_[j]);
         i = j;
       }
     }
-    slots_[i].key = flat_internal::kEmptyKey;
-    slots_[i].value = V{};
+    keys_[i] = flat_internal::kEmptyKey;
     --size_;
     return true;
   }
 
+  // Wipes the key array only. An empty table returns at once: the arrays
+  // never shrink, and a table that is cleared on every commit and abort
+  // often holds nothing.
   void Clear() {
-    for (Slot& s : slots_) {
-      s.key = flat_internal::kEmptyKey;
-      s.value = V{};
+    if (size_ == 0) {
+      return;
     }
+    std::fill(keys_.begin(), keys_.end(), flat_internal::kEmptyKey);
     size_ = 0;
   }
 
@@ -123,18 +128,27 @@ class FlatMap64 {
   // the table (no insert/erase) while iterating.
   template <typename Fn>
   void ForEach(Fn&& fn) const {
-    for (const Slot& s : slots_) {
-      if (s.key != flat_internal::kEmptyKey) {
-        fn(s.key, s.value);
+    if (size_ == 0) {
+      return;
+    }
+    for (size_t s = 0; s < keys_.size(); ++s) {
+      if (keys_[s] != flat_internal::kEmptyKey) {
+        fn(keys_[s], values_[s]);
       }
     }
   }
 
  private:
-  struct Slot {
-    uint64_t key = flat_internal::kEmptyKey;
-    V value{};
+  // Stands in for the value array when V holds no state (FlatSet64), so a
+  // slot costs only its 8-byte key.
+  struct NoValues {
+    V& operator[](size_t) const { return value; }
+    void assign(size_t, const V&) {}
+    static inline V value{};
   };
+  using Values = std::conditional_t<std::is_empty_v<V>, NoValues, std::vector<V>>;
+  static_assert(!std::is_empty_v<V> || std::is_empty_v<Values>,
+                "an empty payload must store no value array");
   static constexpr size_t kNotFound = ~size_t{0};
 
   size_t HomeOf(uint64_t key) const {
@@ -142,126 +156,6 @@ class FlatMap64 {
   }
 
   // First slot holding `key`, or the empty slot that terminates its chain.
-  size_t ProbeFor(uint64_t key) const {
-    const size_t mask = slots_.size() - 1;
-    size_t s = HomeOf(key);
-    while (slots_[s].key != key && slots_[s].key != flat_internal::kEmptyKey) {
-      s = (s + 1) & mask;
-    }
-    return s;
-  }
-
-  size_t FindSlot(uint64_t key) const {
-    size_t s = ProbeFor(key);
-    return slots_[s].key == key ? s : kNotFound;
-  }
-
-  // Grow at 7/8 load: probes stay short and growth stays rare.
-  bool NeedsGrowth() const { return (size_ + 1) * 8 > slots_.size() * 7; }
-
-  void Rehash(size_t new_capacity) {
-    new_capacity = flat_internal::CeilPowerOfTwo(new_capacity < 8 ? 8 : new_capacity);
-    std::vector<Slot> old = std::move(slots_);
-    slots_.assign(new_capacity, Slot{});
-    shift_ = 64;
-    for (size_t c = new_capacity; c > 1; c >>= 1) {
-      --shift_;
-    }
-    size_ = 0;
-    for (Slot& s : old) {
-      if (s.key != flat_internal::kEmptyKey) {
-        size_t dst = ProbeFor(s.key);
-        slots_[dst] = std::move(s);
-        ++size_;
-      }
-    }
-  }
-
-  std::vector<Slot> slots_;
-  size_t size_ = 0;
-  uint32_t shift_ = 64;
-};
-
-// Flat open-addressing set of uint64 keys (same layout, no payload).
-class FlatSet64 {
- public:
-  explicit FlatSet64(size_t initial_capacity = 64) { Rehash(initial_capacity); }
-
-  size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
-
-  bool Contains(uint64_t key) const {
-    return keys_[ProbeFor(key)] == key;
-  }
-
-  // Returns true if `key` was newly inserted.
-  bool Insert(uint64_t key) {
-    ASF_CHECK(key != flat_internal::kEmptyKey);
-    size_t s = ProbeFor(key);
-    if (keys_[s] == key) {
-      return false;
-    }
-    if ((size_ + 1) * 8 > keys_.size() * 7) {
-      Rehash(keys_.size() * 2);
-      s = ProbeFor(key);
-    }
-    keys_[s] = key;
-    ++size_;
-    return true;
-  }
-
-  bool Erase(uint64_t key) {
-    size_t i = ProbeFor(key);
-    if (keys_[i] != key) {
-      return false;
-    }
-    const size_t mask = keys_.size() - 1;
-    size_t j = i;
-    for (;;) {
-      j = (j + 1) & mask;
-      if (keys_[j] == flat_internal::kEmptyKey) {
-        break;
-      }
-      size_t home = HomeOf(keys_[j]);
-      if (((j - home) & mask) >= ((j - i) & mask)) {
-        keys_[i] = keys_[j];
-        i = j;
-      }
-    }
-    keys_[i] = flat_internal::kEmptyKey;
-    --size_;
-    return true;
-  }
-
-  // An empty set returns at once: the slot array never shrinks, and a set
-  // that is cleared on every commit and abort often holds nothing.
-  void Clear() {
-    if (size_ == 0) {
-      return;
-    }
-    keys_.assign(keys_.size(), flat_internal::kEmptyKey);
-    size_ = 0;
-  }
-
-  // Visits every key in slot order (unspecified w.r.t. insertion). `fn`
-  // must not mutate the set while iterating.
-  template <typename Fn>
-  void ForEach(Fn&& fn) const {
-    if (size_ == 0) {
-      return;
-    }
-    for (uint64_t k : keys_) {
-      if (k != flat_internal::kEmptyKey) {
-        fn(k);
-      }
-    }
-  }
-
- private:
-  size_t HomeOf(uint64_t key) const {
-    return static_cast<size_t>((key * flat_internal::kFibMul) >> shift_);
-  }
-
   size_t ProbeFor(uint64_t key) const {
     const size_t mask = keys_.size() - 1;
     size_t s = HomeOf(key);
@@ -271,26 +165,66 @@ class FlatSet64 {
     return s;
   }
 
+  size_t FindSlot(uint64_t key) const {
+    size_t s = ProbeFor(key);
+    return keys_[s] == key ? s : kNotFound;
+  }
+
+  // Grow at 7/8 load: probes stay short and growth stays rare.
+  bool NeedsGrowth() const { return size_ >= grow_at_; }
+
   void Rehash(size_t new_capacity) {
-    new_capacity = flat_internal::CeilPowerOfTwo(new_capacity < 8 ? 8 : new_capacity);
-    std::vector<uint64_t> old = std::move(keys_);
+    new_capacity = std::bit_ceil(std::max<size_t>(new_capacity, 8));
+    std::vector<uint64_t> old_keys = std::move(keys_);
+    Values old_values = std::move(values_);
     keys_.assign(new_capacity, flat_internal::kEmptyKey);
-    shift_ = 64;
-    for (size_t c = new_capacity; c > 1; c >>= 1) {
-      --shift_;
-    }
-    size_ = 0;
-    for (uint64_t k : old) {
-      if (k != flat_internal::kEmptyKey) {
-        keys_[ProbeFor(k)] = k;
-        ++size_;
+    values_.assign(new_capacity, V{});
+    shift_ = 64 - static_cast<uint32_t>(std::countr_zero(new_capacity));
+    grow_at_ = new_capacity / 8 * 7;
+    for (size_t s = 0; s < old_keys.size(); ++s) {
+      if (old_keys[s] != flat_internal::kEmptyKey) {
+        size_t dst = ProbeFor(old_keys[s]);
+        keys_[dst] = old_keys[s];
+        values_[dst] = std::move(old_values[s]);
       }
     }
   }
 
+  // Parallel arrays: probes scan only the keys.
   std::vector<uint64_t> keys_;
+  [[no_unique_address]] Values values_;
   size_t size_ = 0;
+  size_t grow_at_ = 0;  // 7/8 of the capacity.
   uint32_t shift_ = 64;
+};
+
+// Flat open-addressing set of uint64 keys: a FlatMap64 with no payload.
+class FlatSet64 {
+ public:
+  explicit FlatSet64(size_t initial_capacity = 64) : map_(initial_capacity) {}
+
+  size_t size() const { return map_.size(); }
+  bool empty() const { return map_.empty(); }
+
+  bool Contains(uint64_t key) const { return map_.Contains(key); }
+
+  // Returns true if `key` was newly inserted.
+  bool Insert(uint64_t key) { return map_.TryEmplace(key).second; }
+
+  bool Erase(uint64_t key) { return map_.Erase(key); }
+
+  void Clear() { map_.Clear(); }
+
+  // Visits every key in slot order (unspecified w.r.t. insertion). `fn`
+  // must not mutate the set while iterating.
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    map_.ForEach([&fn](uint64_t key, Empty) { fn(key); });
+  }
+
+ private:
+  struct Empty {};
+  FlatMap64<Empty> map_;
 };
 
 }  // namespace asfcommon

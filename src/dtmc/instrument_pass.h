@@ -13,8 +13,10 @@
 //      begin/commit into SPECULATE/COMMIT plus their software preludes.
 //
 // InstrumentationCost() measures per-barrier instruction counts of the two
-// configurations; the runtimes' default barrier cost parameters are
-// calibrated against it (see AsfTmParams::barrier_instructions).
+// configurations. The inlined count is asftm::HwCosts::barrier_instructions
+// (src/tm/tx_driver.h), the per-access cost of every hardware runtime;
+// dtmc_test asserts the two are equal. The library-call count is not yet
+// tied to ablation 3's dynamically linked barrier cost.
 #ifndef SRC_DTMC_INSTRUMENT_PASS_H_
 #define SRC_DTMC_INSTRUMENT_PASS_H_
 

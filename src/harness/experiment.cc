@@ -22,6 +22,21 @@ using asfsim::SimThread;
 using asfsim::Task;
 using asftm::Tx;
 
+void HostPerf::Add(const HostPerf& o) {
+  wakes += o.wakes;
+  fast_wakes += o.fast_wakes;
+  accesses += o.accesses;
+  inline_wakes += o.inline_wakes;
+  mem_accesses += o.mem_accesses;
+  mem_line_hits += o.mem_line_hits;
+  mem_page_hits += o.mem_page_hits;
+  dir_resolutions += o.dir_resolutions;
+  dir_gate_skips += o.dir_gate_skips;
+  dir_solo_fast_paths += o.dir_solo_fast_paths;
+  dir_probes += o.dir_probes;
+  dir_probe_hits += o.dir_probe_hits;
+}
+
 const char* RuntimeKindName(RuntimeKind k) {
   switch (k) {
     case RuntimeKind::kAsfTm:

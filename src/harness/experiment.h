@@ -110,6 +110,7 @@ struct HostPerf {
   uint64_t dir_probes = 0;          // Directory line lookups.
   uint64_t dir_probe_hits = 0;      // Lookups that found a record.
 
+  void Add(const HostPerf& o);
   bool operator==(const HostPerf&) const = default;
 };
 

@@ -1,18 +1,16 @@
 // Copyright (c) 2026 The asf-tm-stack Authors. All rights reserved.
 #include "src/mem/cache.h"
 
-namespace asfmem {
+#include <bit>
 
-namespace {
-bool IsPowerOfTwo(uint64_t v) { return v != 0 && (v & (v - 1)) == 0; }
-}  // namespace
+namespace asfmem {
 
 void CacheGeometry::Validate() const {
   ASF_CHECK_MSG(size_bytes != 0 && size_bytes % asfcommon::kCacheLineBytes == 0,
                 "cache size must be a nonzero multiple of the line size");
   ASF_CHECK_MSG(ways >= 1, "cache must have at least one way");
   ASF_CHECK_MSG(NumLines() % ways == 0, "cache lines must divide evenly into sets");
-  ASF_CHECK_MSG(IsPowerOfTwo(NumSets()),
+  ASF_CHECK_MSG(std::has_single_bit(NumSets()),
                 "cache set count must be a nonzero power of two (SetOf masks with sets - 1)");
 }
 

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/common/flat_table.h"
 #include "src/mem/cache.h"
 
 namespace asfmem {
@@ -21,10 +22,10 @@ struct TlbParams {
 };
 
 // Fully associative set of pages with exact LRU replacement, in O(1) per
-// operation: an open-addressed index maps a page to its entry, and the
-// entries form a doubly linked recency list. Pages are never invalidated, so
-// this picks exactly the victims of a one-set LRU Cache with as many ways,
-// without scanning them.
+// operation: a FlatMap64 index (src/common/flat_table.h) maps a page to its
+// entry, and the entries form a doubly linked recency list. Pages are never
+// invalidated, so this picks exactly the victims of a one-set LRU Cache with
+// as many ways, without scanning them.
 class LruPageSet {
  public:
   explicit LruPageSet(uint32_t capacity);
@@ -44,19 +45,11 @@ class LruPageSet {
   };
   static constexpr uint32_t kNil = ~0u;
 
-  uint32_t Home(uint64_t page) const {
-    return static_cast<uint32_t>((page * 0x9E3779B97F4A7C15ull) >> index_shift_);
-  }
-  // Index slot holding `page`, or the empty slot where it would go.
-  uint32_t Find(uint64_t page) const;
-  // Empties index slot `slot`, shifting back later entries of its probe run.
-  void EraseSlot(uint32_t slot);
   void Unlink(uint32_t e);
   void PushFront(uint32_t e);
 
-  std::vector<Entry> entries_;   // Capacity-many once full.
-  std::vector<uint32_t> index_;  // Power-of-two size; entry or kNil.
-  uint32_t index_shift_ = 0;     // 64 - log2(index_.size()).
+  std::vector<Entry> entries_;            // Capacity-many once full.
+  asfcommon::FlatMap64<uint32_t> index_;  // Page -> entry; at most 1/4 full.
   uint32_t capacity_;
   uint32_t head_ = kNil;  // Most recently used.
   uint32_t tail_ = kNil;  // Least recently used.

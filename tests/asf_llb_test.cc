@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <map>
+#include <random>
+#include <vector>
 
 #include "src/asf/asf_context.h"
 #include "src/asf/llb.h"
@@ -103,6 +106,102 @@ TEST(Llb, ReleaseMiddleEntryKeepsIndexConsistent) {
   llb.Release(100);
   EXPECT_TRUE(llb.HasLine(102));
   EXPECT_FALSE(llb.HasLine(100));
+}
+
+// Random AddRead/AddWrite/Release/Clear/RestoreAll sequences against a
+// std::map reference (line -> written), at the smallest, the LLB-8 and the
+// LLB-256 capacity. The line pool is half again as large as the capacity, so
+// sequences overflow and release entries from the middle of the buffer. A
+// successful AddWrite is followed by a speculative store to the line, and
+// RestoreAll must bring host memory back to the shadow copy.
+TEST(Llb, MatchesReferenceModel) {
+  for (uint32_t capacity : {2u, 8u, 256u}) {
+    SCOPED_TRACE(capacity);
+    const size_t pool = capacity + capacity / 2 + 2;
+    std::vector<LineBuf> mem(pool);
+    std::vector<LineBuf> shadow(pool);  // Expected host memory.
+    std::mt19937_64 rng(capacity);
+    for (size_t i = 0; i < pool; ++i) {
+      for (uint8_t& b : mem[i].bytes) {
+        b = static_cast<uint8_t>(rng());
+      }
+      shadow[i] = mem[i];
+    }
+    Llb llb(capacity);
+    std::map<uint64_t, bool> ref;        // Line -> written.
+    std::map<size_t, LineBuf> backups;   // Pool index -> pre-image.
+    const uint64_t epoch = uint64_t{capacity} * 8;  // About 4x capacity ops per Clear/RestoreAll.
+    uint64_t overflows = 0;
+    uint64_t middle_releases = 0;  // Releases of a line other than the newest.
+    uint64_t last_added = 0;
+    for (uint32_t step = 0; step < 6000 + 40 * capacity; ++step) {
+      const size_t idx = rng() % pool;
+      const uint64_t line = mem[idx].LineNumber();
+      const uint64_t op = rng() % (epoch + 2);
+      auto it = ref.find(line);
+      const bool fits = it != ref.end() || ref.size() < capacity;
+      if (op == epoch) {
+        llb.Clear();
+        ref.clear();
+        backups.clear();
+      } else if (op == epoch + 1) {
+        llb.RestoreAll();
+        for (const auto& [i, pre_image] : backups) {
+          shadow[i] = pre_image;
+        }
+        ref.clear();
+        backups.clear();
+        ASSERT_EQ(std::memcmp(mem.data(), shadow.data(), pool * sizeof(LineBuf)), 0) << step;
+      } else if (op % 3 == 0) {
+        ASSERT_EQ(llb.AddRead(line), fits) << step;
+        overflows += fits ? 0 : 1;
+        if (fits && it == ref.end()) {
+          ref.emplace(line, false);
+          last_added = line;
+        }
+      } else if (op % 3 == 1) {
+        ASSERT_EQ(llb.AddWrite(line), fits) << step;
+        overflows += fits ? 0 : 1;
+        if (fits) {
+          if (it == ref.end()) {
+            last_added = line;
+          }
+          if (!ref[line]) {
+            backups[idx] = mem[idx];
+          }
+          ref[line] = true;
+          mem[idx].bytes[rng() % kCacheLineBytes] ^= static_cast<uint8_t>(rng() | 1);
+          shadow[idx] = mem[idx];
+        }
+      } else {
+        const bool drops = it != ref.end() && !it->second;
+        if (drops && line != last_added) {
+          ++middle_releases;
+        }
+        ASSERT_EQ(llb.Release(line), drops) << step;
+        if (drops) {
+          ref.erase(it);
+        }
+      }
+      uint32_t written = 0;
+      for (const auto& [l, w] : ref) {
+        written += w ? 1 : 0;
+      }
+      ASSERT_EQ(llb.size(), ref.size()) << step;
+      ASSERT_EQ(llb.written_count(), written) << step;
+      for (size_t i = 0; i < pool; ++i) {
+        const uint64_t l = mem[i].LineNumber();
+        auto r = ref.find(l);
+        ASSERT_EQ(llb.HasLine(l), r != ref.end()) << step;
+        ASSERT_EQ(llb.HasWrittenLine(l), r != ref.end() && r->second) << step;
+      }
+      std::map<uint64_t, bool> visited;
+      llb.ForEachLine([&](uint64_t l, bool w) { EXPECT_TRUE(visited.emplace(l, w).second); });
+      ASSERT_EQ(visited, ref) << step;
+    }
+    EXPECT_GT(overflows, 0u);
+    EXPECT_GT(middle_releases, 0u);
+  }
 }
 
 TEST(AsfContext, FlatNestingCommits) {

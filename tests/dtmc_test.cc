@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "src/dtmc/instrument_pass.h"
+#include "src/tm/tx_driver.h"
 
 namespace dtmc {
 namespace {
@@ -101,8 +102,9 @@ TEST(Dtmc, LtoReducesBarrierCost) {
   EXPECT_LT(lto.per_load, lib.per_load);
   EXPECT_LT(lto.per_store, lib.per_store);
   EXPECT_LT(lto.begin, lib.begin);
-  // The inlined barrier cost matches the runtime's default calibration.
-  EXPECT_EQ(lto.per_load, 2u);
+  // The inlined barrier cost is the hardware runtimes' per-access cost.
+  EXPECT_EQ(lto.per_load, asftm::HwCosts().barrier_instructions);
+  EXPECT_EQ(lto.per_store, asftm::HwCosts().barrier_instructions);
 }
 
 TEST(Dtmc, IrPrintingIsStable) {

@@ -71,7 +71,27 @@ TEST(FlatMapTest, ClearResetsEverything) {
   for (uint64_t k = 0; k < 100; ++k) {
     EXPECT_FALSE(map.Contains(k));
   }
-  EXPECT_EQ(map[3], 0);  // Erased slots were reset to V{}.
+  EXPECT_EQ(map[3], 0);  // A new key starts at V{}, whatever its slot held.
+}
+
+// Erase leaves the value array as it was; the next insert into a vacated slot
+// must still read V{}. Dense keys in a small table make the erases shift
+// values along their probe chains.
+TEST(FlatMapTest, ReinsertAfterEraseStartsAtDefault) {
+  asfcommon::FlatMap64<int> map(16);
+  for (uint64_t k = 0; k < 12; ++k) {
+    map[k] = static_cast<int>(k) + 100;
+  }
+  for (uint64_t k = 0; k < 12; k += 2) {
+    EXPECT_TRUE(map.Erase(k));
+  }
+  for (uint64_t k = 1; k < 12; k += 2) {
+    ASSERT_NE(map.Find(k), nullptr) << k;
+    EXPECT_EQ(*map.Find(k), static_cast<int>(k) + 100) << k;
+  }
+  for (uint64_t k = 0; k < 12; k += 2) {
+    EXPECT_EQ(map[k], 0) << k;
+  }
 }
 
 TEST(FlatMapTest, RandomizedAgainstReferenceModel) {

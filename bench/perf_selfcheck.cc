@@ -306,8 +306,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Gate equivalence: the active-speculator gate and single-speculator fast
-  // path are host-side short circuits; disabling them must not move a bit.
+  // Gate equivalence: the active-speculator gate is a host-side short
+  // circuit; disabling it must not move a bit.
   if (gate_check) {
     const bool prev = asf::SpeculatorGateDisabled();
     asf::SetSpeculatorGateDisabled(true);
@@ -374,9 +374,8 @@ int main(int argc, char** argv) {
   report.Print(fast);
 
   // Conflict-directory telemetry (serial pass): how often the
-  // active-speculator gate removed conflict resolution entirely, how often
-  // the single-speculator path short-circuited the decode, and the mean
-  // number of directory probes each resolved access paid.
+  // active-speculator gate removed conflict resolution entirely, and the
+  // mean number of line records each resolved access read.
   const harness::HostPerf& hp = serial.host;
   asfcommon::Table dir("Conflict directory (serial pass)");
   dir.SetHeader({"metric", "value", "rate"});
@@ -385,9 +384,6 @@ int main(int argc, char** argv) {
   dir.AddRow({"active-speculator gate skips",
               asfcommon::Table::Int(static_cast<long long>(hp.dir_gate_skips)),
               Pct(hp.dir_gate_skips, hp.dir_resolutions)});
-  dir.AddRow({"single-speculator fast paths",
-              asfcommon::Table::Int(static_cast<long long>(hp.dir_solo_fast_paths)),
-              Pct(hp.dir_solo_fast_paths, hp.dir_resolutions)});
   dir.AddRow({"directory probes",
               asfcommon::Table::Int(static_cast<long long>(hp.dir_probes)),
               hp.dir_resolutions == 0

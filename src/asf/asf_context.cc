@@ -15,8 +15,8 @@ bool AsfContext::Speculate() {
     return false;
   }
   ++depth_;
-  if (depth_ == 1 && dir_ != nullptr) {
-    dir_->OnActivate(core_id_);
+  if (depth_ == 1) {
+    dir_.OnActivate(core_id_);
   }
   return true;
 }
@@ -48,13 +48,10 @@ void AsfContext::Abort(AbortCause cause) {
 }
 
 void AsfContext::TeardownDirectory() {
-  if (dir_ == nullptr) {
-    return;
-  }
   // ForEachTrackedLine would double-visit nothing here (LLB and L1 read bits
   // are disjoint by construction), but RemoveLine is idempotent regardless.
-  ForEachTrackedLine([&](uint64_t line, bool /*written*/) { dir_->RemoveLine(core_id_, line); });
-  dir_->OnDeactivate(core_id_);
+  ForEachTrackedLine([&](uint64_t line, bool /*written*/) { dir_.RemoveLine(core_id_, line); });
+  dir_.OnDeactivate(core_id_);
 }
 
 bool AsfContext::AddRead(uint64_t line) {
@@ -69,18 +66,17 @@ bool AsfContext::AddRead(uint64_t line) {
       return true;
     }
     l1_read_lines_.Insert(line);
-    if (dir_ != nullptr) {
-      dir_->AddReader(core_id_, line);
-    }
+    dir_.AddReader(core_id_, line);
     return true;  // Capacity effects arrive via OnL1Drop displacement.
   }
-  if (!llb_.AddRead(line)) {
+  bool written;
+  if (!llb_.AddRead(line, &written)) {
     return false;
   }
   // A line we already wrote is monitored through the writer record; adding a
   // reader bit would break the directory's exclusive-writer invariant.
-  if (dir_ != nullptr && !llb_.HasWrittenLine(line)) {
-    dir_->AddReader(core_id_, line);
+  if (!written) {
+    dir_.AddReader(core_id_, line);
   }
   return true;
 }
@@ -102,9 +98,7 @@ bool AsfContext::AddWrite(uint64_t line) {
   } else if (!llb_.AddWrite(line)) {
     return false;
   }
-  if (dir_ != nullptr) {
-    dir_->SetWriter(core_id_, line);
-  }
+  dir_.SetWriter(core_id_, line);
   return true;
 }
 
@@ -118,8 +112,8 @@ void AsfContext::Release(uint64_t line) {
   } else {
     dropped = llb_.Release(line);
   }
-  if (dropped && dir_ != nullptr) {
-    dir_->DropReader(core_id_, line);
+  if (dropped) {
+    dir_.DropReader(core_id_, line);
   }
 }
 

@@ -6,10 +6,10 @@
 // speculative-read bits in the modeled L1 cache), and performs architectural
 // rollback on abort. Conflict *policy* (requester wins) is applied by the
 // Machine through the shared ConflictDirectory; every protected-set mutation
-// here is mirrored into that directory at the point it happens, so a single
-// directory probe answers what HasRead/HasWrite of every remote context
-// answered before. The per-context queries remain the reference semantics
-// (tests cross-check the directory against them).
+// here is mirrored into that directory at the point it happens, so one read
+// of a line's directory bits answers what HasRead/HasWrite of every remote
+// context answered before. The per-context queries remain the reference
+// semantics (tests cross-check the directory against them).
 #ifndef SRC_ASF_ASF_CONTEXT_H_
 #define SRC_ASF_ASF_CONTEXT_H_
 
@@ -43,16 +43,10 @@ struct AsfContextStats {
 
 class AsfContext {
  public:
-  AsfContext(uint32_t core_id, const AsfVariant& variant)
-      : core_id_(core_id), variant_(variant), llb_(variant.llb_entries) {}
-
-  // Attaches the machine-global conflict directory this context mirrors its
-  // protected sets into. Must be called while inactive; null (the default,
-  // for isolated unit tests) disables mirroring.
-  void BindDirectory(ConflictDirectory* dir) {
-    ASF_CHECK(!active());
-    dir_ = dir;
-  }
+  // `dir` is the conflict directory this context mirrors its protected sets
+  // into: the Machine's, or a standalone one in unit tests.
+  AsfContext(uint32_t core_id, const AsfVariant& variant, ConflictDirectory& dir)
+      : core_id_(core_id), variant_(variant), dir_(dir), llb_(variant.llb_entries) {}
 
   uint32_t core_id() const { return core_id_; }
   const AsfVariant& variant() const { return variant_; }
@@ -134,7 +128,7 @@ class AsfContext {
 
   const uint32_t core_id_;
   const AsfVariant variant_;
-  ConflictDirectory* dir_ = nullptr;
+  ConflictDirectory& dir_;
   Llb llb_;
   // Read-set lines tracked via L1 speculative-read bits (w/-L1 variants).
   // Probed on every remote access during the conflict scan, so it uses the

@@ -50,8 +50,19 @@ class Llb {
   // Adds `line` to the protected set (read monitoring). Returns false if the
   // buffer is full (capacity abort).
   bool AddRead(uint64_t line) {
+    bool written;
+    return AddRead(line, &written);
+  }
+  // As above, and sets `*written` to whether the line is already in the
+  // write set — from the same index probe.
+  bool AddRead(uint64_t line, bool* written) {
     uint32_t& pos = index_[line];
-    return pos != 0 || Append(line, pos) != nullptr;
+    if (pos != 0) {
+      *written = entries_[pos - 1].written;
+      return true;
+    }
+    *written = false;
+    return Append(line, pos) != nullptr;
   }
 
   // Adds `line` to the write set, taking a backup of the line's current

@@ -33,11 +33,10 @@ Machine::Machine(const MachineParams& params)
       arena_(params.arena_bytes),
       scheduler_(params.num_cores, params.core),
       mem_(params.num_cores, params.mem),
-      directory_(params.num_cores, !SpeculatorGateDisabled()),
+      directory_(params.num_cores, !SpeculatorGateDisabled(), &mem_.state()),
       staged_abort_(params.num_cores, AbortCause::kNone) {
   for (uint32_t i = 0; i < params.num_cores; ++i) {
-    contexts_.push_back(std::make_unique<AsfContext>(i, params.variant));
-    contexts_.back()->BindDirectory(&directory_);
+    contexts_.push_back(std::make_unique<AsfContext>(i, params.variant, directory_));
   }
   scheduler_.SetAccessHandler(this);
   mem_.SetListener(this);
@@ -137,10 +136,11 @@ AccessOutcome Machine::OnAccess(SimThread& thread, AccessKind kind, uint64_t add
       kind == AccessKind::kStore || kind == AccessKind::kTxStore || kind == AccessKind::kWatchW;
 
   // 1. Requester-wins conflict resolution via the speculative-line
-  //    directory: one probe per touched line (skipped entirely when no other
-  //    core is speculating). Victims roll back architecturally *now* (before
-  //    this access proceeds, in ascending core order like the historical
-  //    all-contexts sweep), so the requester observes pre-speculative data.
+  //    directory: one line-record read per touched line (skipped entirely
+  //    when no other core is speculating). Victims roll back architecturally
+  //    *now* (before this access proceeds, in ascending core order like the
+  //    historical all-contexts sweep), so the requester observes
+  //    pre-speculative data.
   const uint64_t first = LineOf(addr);
   const uint64_t last = LineOf(addr + size - 1);
   uint64_t extra = injected_latency;  // Latency-only injections (no region).
@@ -152,20 +152,11 @@ AccessOutcome Machine::OnAccess(SimThread& thread, AccessKind kind, uint64_t add
   uint64_t victims = skip_resolution ? 0 : directory_.Resolve(first, last, write_like, cid);
   // Abort-causality edges for the observability layer: one per (contended
   // line, victim), read from directory state *before* the victims roll back
-  // (teardown erases their line records). Derived from the records rather
-  // than Resolve's internal path so the attribution is identical whichever
-  // fast path the directory took. Host-side only — zero simulated cost.
+  // (teardown clears their bits). Host-side only — zero simulated cost.
   if (victims != 0 && tx_sink_ != nullptr) {
     for (uint64_t line = first; line <= last; ++line) {
-      const ConflictDirectory::LineRecord* r = directory_.Find(line);
-      if (r == nullptr) {
-        continue;
-      }
-      uint64_t hit = write_like ? r->PresentBits()
-                                : (r->writer == ConflictDirectory::kNoWriter
-                                       ? 0
-                                       : uint64_t{1} << r->writer);
-      hit &= victims;
+      const asfmem::LineState& r = directory_.Record(line);
+      uint64_t hit = ConflictDirectory::Conflicting(r, write_like) & victims;
       while (hit != 0) {
         const uint32_t v = static_cast<uint32_t>(std::countr_zero(hit));
         hit &= hit - 1;
@@ -177,7 +168,7 @@ AccessOutcome Machine::OnAccess(SimThread& thread, AccessKind kind, uint64_t add
         ev.cause = AbortCause::kContention;
         ev.attempt = scheduler_.thread(v).core().attempt_seq();
         ev.arg0 = ObsLine(line);
-        ev.arg1 = asfobs::PackConflictEdge(cid, r->writer == v, write_like);
+        ev.arg1 = asfobs::PackConflictEdge(cid, r.writer == (1u << v), write_like);
         tx_sink_->OnTxEvent(ev);
       }
     }

@@ -6,11 +6,12 @@
 // Machine::OnAccess in global cycle order. The Machine applies ASF's
 // requester-wins contention policy exactly at cache-line granularity
 // (equivalent to the hardware piggybacking on coherence probes — see
-// DESIGN.md §2) via the machine-global ConflictDirectory (one probe per
-// touched line instead of a sweep over every other core's context),
-// performs the per-core protected-set bookkeeping, charges memory-hierarchy
-// latencies, and models the OS events (page faults, timer interrupts,
-// system calls) that abort speculative regions.
+// DESIGN.md §2) via the machine-global ConflictDirectory (one read of the
+// memory model's per-line state per touched line instead of a sweep over
+// every other core's context), performs the per-core protected-set
+// bookkeeping, charges memory-hierarchy latencies, and models the OS events
+// (page faults, timer interrupts, system calls) that abort speculative
+// regions.
 #ifndef SRC_ASF_MACHINE_H_
 #define SRC_ASF_MACHINE_H_
 
@@ -56,10 +57,10 @@ struct MachineParams {
 };
 
 // Ablation/equivalence hook (bench/perf_selfcheck --gate-check): force-
-// disables the conflict directory's active-speculator gate and
-// single-speculator fast path so every access runs the general per-line
-// decode. The gates are pure host-side short circuits — simulated results
-// must be bit-identical either way, which the perf_smoke ctest enforces.
+// disables the conflict directory's active-speculator gate so every access
+// runs the per-line decode. The gate is a pure host-side short circuit —
+// simulated results must be bit-identical either way, which the perf_smoke
+// ctest enforces.
 // Each Machine snapshots the setting at construction.
 bool SpeculatorGateDisabled();
 void SetSpeculatorGateDisabled(bool disabled);

@@ -16,6 +16,10 @@ inline constexpr uint64_t kCacheLineShift = 6;
 inline constexpr uint64_t kPageBytes = 4096;
 inline constexpr uint64_t kPageShift = 12;
 
+// Most cores a simulated machine has: the paper's eight-core Barcelona
+// setup. Per-line core bitmaps (src/mem/state_table.h) are one byte wide.
+inline constexpr uint32_t kMaxCores = 8;
+
 // Simulated clock frequency: 2.2 GHz (paper Section 5); cycles per
 // microsecond, used to report throughput in transactions per microsecond.
 inline constexpr uint64_t kCyclesPerMicrosecond = 2200;

@@ -32,7 +32,6 @@ void HostPerf::Add(const HostPerf& o) {
   mem_page_hits += o.mem_page_hits;
   dir_resolutions += o.dir_resolutions;
   dir_gate_skips += o.dir_gate_skips;
-  dir_solo_fast_paths += o.dir_solo_fast_paths;
   dir_probes += o.dir_probes;
   dir_probe_hits += o.dir_probe_hits;
 }

@@ -106,9 +106,9 @@ struct HostPerf {
   // Conflict-directory telemetry (asf::ConflictDirectory::Stats).
   uint64_t dir_resolutions = 0;     // Conflict-resolution invocations.
   uint64_t dir_gate_skips = 0;      // Skipped: no other active speculator.
-  uint64_t dir_solo_fast_paths = 0; // Single-speculator short circuit taken.
-  uint64_t dir_probes = 0;          // Directory line lookups.
-  uint64_t dir_probe_hits = 0;      // Lookups that found a record.
+  uint64_t dir_solo_fast_paths = 0; // Always 0; kept because perfbench reads it.
+  uint64_t dir_probes = 0;          // Line records read.
+  uint64_t dir_probe_hits = 0;      // Reads that found a speculative holder.
 
   void Add(const HostPerf& o);
   bool operator==(const HostPerf&) const = default;

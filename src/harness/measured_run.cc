@@ -40,7 +40,7 @@ MeasuredRun::MeasuredRun(const asf::MachineParams& params, const ObsHooks& obs,
 
 void MeasuredRun::Run(asftm::TmRuntime& rt, uint32_t threads, const ThreadFn& setup,
                       const ThreadFn& measure) {
-  ASF_CHECK(threads >= 1 && threads <= 8);
+  ASF_CHECK(threads >= 1 && threads <= asfcommon::kMaxCores);
   rt_ = &rt;
   asfsim::SimBarrier setup_done(threads);
   asfsim::SimBarrier reset_done(threads);
@@ -105,7 +105,6 @@ IntsetResult MeasuredRun::Collect() {
   const asf::ConflictDirectory::Stats& ds = m.conflict_directory().stats();
   r.host.dir_resolutions = ds.resolutions;
   r.host.dir_gate_skips = ds.gate_skips;
-  r.host.dir_solo_fast_paths = ds.solo_fast_paths;
   r.host.dir_probes = ds.probes;
   r.host.dir_probe_hits = ds.probe_hits;
   if (collect_latency_) {

@@ -36,7 +36,7 @@ MemorySystem::MemorySystem(uint32_t num_cores, const MemParams& params)
     : params_(params),
       fast_path_enabled_(g_mem_fast_path.load(std::memory_order_relaxed)),
       l3_(params.l3) {
-  ASF_CHECK(num_cores >= 1 && num_cores <= 32);
+  ASF_CHECK(num_cores >= 1 && num_cores <= asfcommon::kMaxCores);
   params.Validate();
   for (uint32_t i = 0; i < num_cores; ++i) {
     l1s_.push_back(std::make_unique<Cache>(params.l1));
@@ -119,7 +119,7 @@ uint64_t MemorySystem::AccessLine(uint32_t core, uint64_t line, bool is_write) {
   MemStats& st = stats_[core];
   LineState& dir = state_.Line(line);
   const uint8_t self_tag = OwnerTag(core);
-  const uint32_t self_bit = 1u << core;
+  const uint8_t self_bit = static_cast<uint8_t>(1u << core);
   CoreMemo& memo = memos_[core];
   // Every exit below leaves `line` MRU in this core's L1, so the memo is
   // re-armed unconditionally; `writable` is refreshed per-path to mirror the
@@ -246,7 +246,10 @@ void MemorySystem::FlushLine(uint64_t line) {
     DropFromCore(c, line);
   }
   l3_.Invalidate(line);
-  state_.Line(line) = LineState{};
+  // The line's speculative readers and writer are the ASF layer's, not ours.
+  LineState& dir = state_.Line(line);
+  dir.sharers = 0;
+  dir.owner = kNoOwner;
 }
 
 MemStats MemorySystem::TotalStats() const {

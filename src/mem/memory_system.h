@@ -130,6 +130,10 @@ class MemorySystem {
   // read-set tracker).
   bool L1Holds(uint32_t core, uint64_t line) const { return l1s_[core]->Probe(line); }
 
+  // The per-line and per-page state. The ASF conflict directory keeps its
+  // per-line speculative bits here too (src/mem/state_table.h).
+  StateTable& state() { return state_; }
+
  private:
   // LineState::owner of a line `core` holds exclusively/dirty.
   static uint8_t OwnerTag(uint32_t core) { return static_cast<uint8_t>(core + 1); }
@@ -167,7 +171,7 @@ class MemorySystem {
   std::vector<std::unique_ptr<Tlb>> tlbs_;
   // The coherence directory and the first-touch page state, indexed by
   // address: read once per line and once per page on every access that
-  // misses the memo.
+  // misses the memo. Shared with the ASF conflict directory.
   StateTable state_;
   std::vector<MemStats> stats_;
   std::vector<CoreMemo> memos_;

@@ -1,14 +1,18 @@
 // Copyright (c) 2026 The asf-tm-stack Authors. All rights reserved.
 // Direct-indexed per-line and per-page state of the memory model.
 //
-// Every simulated access reads the coherence state of its line and the
-// first-touch state of its page. Both live in one two-level table keyed by
-// address: a sorted list of chunks, each holding the state of one fixed,
-// aligned address span. A chunk is one anonymous mapping that the kernel
-// hands out zero-filled and populates page by page as it is written, so
-// all-zero must mean "untouched" and host memory grows with the lines and
-// pages actually touched, not with the span. The page-present bits sit at
-// the front of the chunk: marking tens of MiB present writes a few KiB.
+// Every simulated access reads the state of its line and the first-touch
+// state of its page. The line state is the coherence state the memory model
+// keeps plus the speculative readers and writer the ASF conflict directory
+// keeps (src/asf/conflict_directory.h): one read of the line answers both the
+// cache-coherence and the requester-wins question, as in the hardware, where
+// ASF's conflict detection rides on the coherence probes. Both live in one
+// two-level table keyed by address: a sorted list of chunks, each holding the
+// state of one fixed, aligned address span. A chunk is one anonymous mapping
+// that the kernel hands out zero-filled and populates page by page as it is
+// written, so all-zero must mean "untouched" and host memory grows with the
+// lines and pages actually touched, not with the span. The page-present bits
+// sit at the front of the chunk: marking tens of MiB present writes a few KiB.
 #ifndef SRC_MEM_STATE_TABLE_H_
 #define SRC_MEM_STATE_TABLE_H_
 
@@ -19,14 +23,21 @@
 
 namespace asfmem {
 
-// Coherence state of one line. All-zero: no sharers, no owner. Packed to
-// five bytes: the table's host memory is proportional to its size.
-struct __attribute__((packed)) LineState {
-  // Bitmask of cores whose private hierarchy may hold the line.
-  uint32_t sharers;
+// State of one line, one byte per field. All-zero: untouched. The table's
+// host memory is proportional to its size. Bitmaps hold one bit per core, so
+// a machine has at most asfcommon::kMaxCores cores.
+struct LineState {
+  // Coherence (MemorySystem). Cores whose private hierarchy may hold the line.
+  uint8_t sharers;
   // Core that holds the line exclusively/dirty, plus one; 0 for none.
   uint8_t owner;
+  // Speculation (asf::ConflictDirectory). Cores with the line in their read
+  // set.
+  uint8_t readers;
+  // The core with the line in its write set, as a bitmap: at most one bit.
+  uint8_t writer;
 };
+static_assert(asfcommon::kMaxCores <= 8, "LineState core bitmaps are one byte");
 
 class StateTable {
  public:

@@ -131,6 +131,9 @@ class Core {
  public:
   Core(uint32_t id, const CoreParams& params) : id_(id), params_(params) {
     next_timer_ = params.timer_period;
+    for (uint64_t n = 0; n < kWorkTableSize; ++n) {
+      work_cycles_[n] = WorkCyclesOf(n);
+    }
   }
 
   uint32_t id() const { return id_; }
@@ -146,7 +149,7 @@ class Core {
   // from inside a TM barrier (which runs under its own category guard).
   void WorkInstructions(uint64_t instructions) {
     pending_by_cat_[static_cast<size_t>(category_)] +=
-        static_cast<uint64_t>(static_cast<double>(instructions) / params_.ipc + 0.5);
+        instructions < kWorkTableSize ? work_cycles_[instructions] : WorkCyclesOf(instructions);
     has_pending_work_ = true;
   }
   void WorkCycles(uint64_t cycles) {
@@ -199,8 +202,18 @@ class Core {
   void ResetStats();
 
  private:
+  // WorkInstructions reads the cycles of a batch of fewer instructions than
+  // this from a table instead of dividing; the table holds WorkCyclesOf.
+  static constexpr uint64_t kWorkTableSize = 128;
+
+  // Cycles `instructions` of plain computation take at the core's IPC.
+  uint64_t WorkCyclesOf(uint64_t instructions) const {
+    return static_cast<uint64_t>(static_cast<double>(instructions) / params_.ipc + 0.5);
+  }
+
   const uint32_t id_;
   const CoreParams params_;
+  std::array<uint64_t, kWorkTableSize> work_cycles_;
   uint64_t clock_ = 0;
   std::array<uint64_t, static_cast<size_t>(CycleCategory::kNumCategories)> pending_by_cat_{};
   bool has_pending_work_ = false;

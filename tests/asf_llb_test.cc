@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "src/asf/asf_context.h"
+#include "src/asf/conflict_directory.h"
 #include "src/asf/llb.h"
 
 namespace asf {
@@ -153,7 +154,9 @@ TEST(Llb, MatchesReferenceModel) {
         backups.clear();
         ASSERT_EQ(std::memcmp(mem.data(), shadow.data(), pool * sizeof(LineBuf)), 0) << step;
       } else if (op % 3 == 0) {
-        ASSERT_EQ(llb.AddRead(line), fits) << step;
+        bool written = true;
+        ASSERT_EQ(llb.AddRead(line, &written), fits) << step;
+        ASSERT_EQ(written, it != ref.end() && it->second) << step;
         overflows += fits ? 0 : 1;
         if (fits && it == ref.end()) {
           ref.emplace(line, false);
@@ -205,7 +208,8 @@ TEST(Llb, MatchesReferenceModel) {
 }
 
 TEST(AsfContext, FlatNestingCommits) {
-  AsfContext ctx(0, AsfVariant::Llb256());
+  ConflictDirectory dir(1, /*gate_enabled=*/true);
+  AsfContext ctx(0, AsfVariant::Llb256(), dir);
   EXPECT_TRUE(ctx.Speculate());
   EXPECT_TRUE(ctx.Speculate());  // Nested.
   EXPECT_TRUE(ctx.AddRead(42));
@@ -218,7 +222,8 @@ TEST(AsfContext, FlatNestingCommits) {
 }
 
 TEST(AsfContext, NestingDepthLimit) {
-  AsfContext ctx(0, AsfVariant::Llb8());
+  ConflictDirectory dir(1, /*gate_enabled=*/true);
+  AsfContext ctx(0, AsfVariant::Llb8(), dir);
   for (uint32_t i = 0; i < kMaxNestingDepth; ++i) {
     EXPECT_TRUE(ctx.Speculate());
   }
@@ -228,7 +233,8 @@ TEST(AsfContext, NestingDepthLimit) {
 TEST(AsfContext, AbortInsideNestingRollsBackWholeRegion) {
   LineBuf buf;
   std::memset(buf.bytes, 0x10, sizeof(buf.bytes));
-  AsfContext ctx(0, AsfVariant::Llb8());
+  ConflictDirectory dir(1, /*gate_enabled=*/true);
+  AsfContext ctx(0, AsfVariant::Llb8(), dir);
   ASSERT_TRUE(ctx.Speculate());
   ASSERT_TRUE(ctx.Speculate());
   ASSERT_TRUE(ctx.AddWrite(buf.LineNumber()));
@@ -241,7 +247,8 @@ TEST(AsfContext, AbortInsideNestingRollsBackWholeRegion) {
 
 TEST(AsfContext, ConflictMatrix) {
   LineBuf wbuf;  // AddWrite snapshots host memory, so use a real line.
-  AsfContext ctx(0, AsfVariant::Llb256());
+  ConflictDirectory dir(1, /*gate_enabled=*/true);
+  AsfContext ctx(0, AsfVariant::Llb256(), dir);
   ASSERT_TRUE(ctx.Speculate());
   ASSERT_TRUE(ctx.AddRead(10));
   ASSERT_TRUE(ctx.AddWrite(wbuf.LineNumber()));
@@ -257,7 +264,8 @@ TEST(AsfContext, ConflictMatrix) {
 }
 
 TEST(AsfContext, L1ReadSetVariantDropCausesCapacitySignal) {
-  AsfContext ctx(0, AsfVariant::Llb8WithL1());
+  ConflictDirectory dir(1, /*gate_enabled=*/true);
+  AsfContext ctx(0, AsfVariant::Llb8WithL1(), dir);
   ASSERT_TRUE(ctx.Speculate());
   ASSERT_TRUE(ctx.AddRead(500));
   EXPECT_TRUE(ctx.OnL1Drop(500));   // Tracked read line displaced: signal.
@@ -268,7 +276,8 @@ TEST(AsfContext, L1ReadSetVariantDropCausesCapacitySignal) {
 
 TEST(AsfContext, L1ReadSetWriteSubsumesReadTracking) {
   LineBuf buf;
-  AsfContext ctx(0, AsfVariant::Llb8WithL1());
+  ConflictDirectory dir(1, /*gate_enabled=*/true);
+  AsfContext ctx(0, AsfVariant::Llb8WithL1(), dir);
   ASSERT_TRUE(ctx.Speculate());
   ASSERT_TRUE(ctx.AddRead(buf.LineNumber()));
   ASSERT_TRUE(ctx.AddWrite(buf.LineNumber()));
@@ -280,7 +289,8 @@ TEST(AsfContext, L1ReadSetWriteSubsumesReadTracking) {
 
 TEST(AsfContext, LlbSharedBetweenReadsAndWrites) {
   // In the pure-LLB variant, reads and writes share the capacity.
-  AsfContext ctx(0, AsfVariant::Llb8());
+  ConflictDirectory dir(1, /*gate_enabled=*/true);
+  AsfContext ctx(0, AsfVariant::Llb8(), dir);
   ASSERT_TRUE(ctx.Speculate());
   for (uint64_t i = 0; i < 6; ++i) {
     EXPECT_TRUE(ctx.AddRead(100 + i));
@@ -298,7 +308,8 @@ TEST(AsfContext, Asf1FreezesSetInAtomicPhase) {
   // ASF1 semantics (paper Sec. 6): once a region stores speculatively, the
   // protected set cannot grow; ASF2 (the default) allows it.
   LineBuf w;
-  AsfContext ctx(0, AsfVariant::Asf1Llb256());
+  ConflictDirectory dir(1, /*gate_enabled=*/true);
+  AsfContext ctx(0, AsfVariant::Asf1Llb256(), dir);
   ASSERT_TRUE(ctx.Speculate());
   EXPECT_TRUE(ctx.AddRead(100));
   EXPECT_FALSE(ctx.in_atomic_phase());
@@ -317,7 +328,8 @@ TEST(AsfContext, Asf1FreezesSetInAtomicPhase) {
 
 TEST(AsfContext, Asf2AllowsDynamicExpansion) {
   LineBuf w;
-  AsfContext ctx(0, AsfVariant::Llb256());
+  ConflictDirectory dir(1, /*gate_enabled=*/true);
+  AsfContext ctx(0, AsfVariant::Llb256(), dir);
   ASSERT_TRUE(ctx.Speculate());
   ASSERT_TRUE(ctx.AddWrite(w.LineNumber()));
   EXPECT_TRUE(ctx.AddRead(200));  // ASF2: fine after a speculative store.
@@ -328,7 +340,8 @@ TEST(AsfContext, GuaranteedMinimumCapacity) {
   // The architectural forward-progress floor: four lines always fit.
   for (auto variant : {AsfVariant::Llb8(), AsfVariant::Llb256(), AsfVariant::Llb8WithL1(),
                        AsfVariant::Llb256WithL1()}) {
-    AsfContext ctx(0, variant);
+    ConflictDirectory dir(1, /*gate_enabled=*/true);
+    AsfContext ctx(0, variant, dir);
     ASSERT_TRUE(ctx.Speculate());
     LineBuf bufs[kGuaranteedCapacityLines];
     for (auto& b : bufs) {

@@ -8,9 +8,10 @@
 // of accesses, commits, aborts, releases, and L1 displacements preceded it.
 // The randomized walk below drives real AsfContexts (all three variant
 // classes) through thousands of mixed events, checking that equivalence on
-// every access and auditing the directory's full contents against the
-// contexts' tracked lines at regular intervals — with the active-speculator
-// gate both enabled and disabled, since the gate must be invisible.
+// every access and auditing the directory's bits on every line the walk can
+// touch against the contexts' tracked lines at regular intervals — with the
+// active-speculator gate both enabled and disabled, since the gate must be
+// invisible.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -41,28 +42,45 @@ TEST(ConflictDirectory, ReaderAndWriterRecords) {
   dir.OnActivate(1);
   dir.AddReader(0, 100);
   dir.AddReader(1, 100);
-  const ConflictDirectory::LineRecord* r = dir.Find(100);
-  ASSERT_NE(r, nullptr);
-  EXPECT_EQ(r->readers, 0b11u);
-  EXPECT_EQ(r->writer, ConflictDirectory::kNoWriter);
-  EXPECT_EQ(r->PresentBits(), 0b11u);
+  EXPECT_EQ(dir.Record(100).readers, 0b11u);
+  EXPECT_EQ(dir.Record(100).writer, 0u);
+  EXPECT_EQ(ConflictDirectory::Conflicting(dir.Record(100), /*write_like=*/true), 0b11u);
+  EXPECT_EQ(ConflictDirectory::Conflicting(dir.Record(100), /*write_like=*/false), 0u);
 
   // Read-to-write upgrade by core 0 after core 1 dropped its reader bit.
   dir.DropReader(1, 100);
   dir.SetWriter(0, 100);
-  r = dir.Find(100);
-  ASSERT_NE(r, nullptr);
-  EXPECT_EQ(r->readers, 0u);  // Own reader bit subsumed by the writer record.
-  EXPECT_EQ(r->writer, 0u);
-  EXPECT_EQ(r->PresentBits(), 0b01u);
+  EXPECT_EQ(dir.Record(100).readers, 0u);  // Own reader bit subsumed by the writer bit.
+  EXPECT_EQ(dir.Record(100).writer, 0b01u);
+  EXPECT_EQ(ConflictDirectory::Conflicting(dir.Record(100), /*write_like=*/false), 0b01u);
 
-  // Teardown erases empty records.
+  // Teardown clears the line's bits.
   dir.RemoveLine(0, 100);
-  EXPECT_EQ(dir.Find(100), nullptr);
-  EXPECT_EQ(dir.size(), 0u);
+  EXPECT_EQ(dir.Record(100).readers, 0u);
+  EXPECT_EQ(dir.Record(100).writer, 0u);
   dir.OnDeactivate(0);
   dir.OnDeactivate(1);
   EXPECT_EQ(dir.active_bitmap(), 0u);
+}
+
+// A Machine's directory keeps its bits in the memory model's line state,
+// beside the coherence fields, which neither side may disturb.
+TEST(ConflictDirectory, SharesLineStateWithCoherence) {
+  asfmem::StateTable table;
+  ConflictDirectory dir(4, /*gate_enabled=*/true, &table);
+  table.Line(100).sharers = 0b1010;
+  table.Line(100).owner = 2;
+  dir.OnActivate(1);
+  dir.OnActivate(3);
+  dir.AddReader(1, 100);
+  dir.AddReader(3, 100);
+  EXPECT_EQ(table.Line(100).readers, 0b1010u);
+  EXPECT_EQ(dir.Resolve(100, 100, /*write_like=*/true, 0), 0b1010u);
+  dir.RemoveLine(1, 100);
+  dir.RemoveLine(3, 100);
+  EXPECT_EQ(table.Line(100).readers, 0u);
+  EXPECT_EQ(table.Line(100).sharers, 0b1010u);
+  EXPECT_EQ(table.Line(100).owner, 2u);
 }
 
 TEST(ConflictDirectory, ResolveMatrix) {
@@ -86,22 +104,23 @@ TEST(ConflictDirectory, ResolveMatrix) {
   EXPECT_EQ(dir.Resolve(30, 30, true, 0), 0u);
 }
 
-TEST(ConflictDirectory, GateSkipsAndSoloFastPathCounted) {
+TEST(ConflictDirectory, GateSkipsAndProbesCounted) {
   ConflictDirectory dir(4, /*gate_enabled=*/true);
-  // No other speculator: resolution must not probe anything.
+  // No other speculator: resolution must not read anything.
   dir.OnActivate(0);
   EXPECT_EQ(dir.Resolve(10, 10, true, 0), 0u);
   EXPECT_EQ(dir.stats().gate_skips, 1u);
   EXPECT_EQ(dir.stats().probes, 0u);
 
-  // Exactly one other speculator: the solo fast path answers.
+  // Another speculator: one read per touched line.
   dir.OnActivate(3);
   dir.AddReader(3, 10);
-  EXPECT_EQ(dir.Resolve(10, 10, true, 0), uint64_t{1} << 3);
+  EXPECT_EQ(dir.Resolve(10, 11, true, 0), uint64_t{1} << 3);
   EXPECT_EQ(dir.Resolve(10, 10, false, 0), 0u);  // Reader vs reader.
-  EXPECT_EQ(dir.stats().solo_fast_paths, 2u);
   EXPECT_EQ(dir.stats().resolutions, 3u);
-  EXPECT_GT(dir.stats().probe_hits, 0u);
+  EXPECT_EQ(dir.stats().probes, 3u);
+  EXPECT_EQ(dir.stats().probe_hits, 2u);
+  EXPECT_EQ(dir.stats().solo_fast_paths, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -127,8 +146,7 @@ class Walk {
       : variant_(variant), dir_(kCores, gate_enabled), rng_(seed) {
     std::memset(pool_.bytes, 0, sizeof(pool_.bytes));
     for (uint32_t c = 0; c < kCores; ++c) {
-      ctxs_.push_back(std::make_unique<AsfContext>(c, variant));
-      ctxs_.back()->BindDirectory(&dir_);
+      ctxs_.push_back(std::make_unique<AsfContext>(c, variant, dir_));
     }
   }
 
@@ -139,8 +157,8 @@ class Walk {
         AuditDirectory();
       }
     }
-    // Wind down: every context commits or aborts, after which the directory
-    // must be completely empty.
+    // Wind down: every context commits or aborts, after which no line may
+    // keep a bit.
     for (uint32_t c = 0; c < kCores; ++c) {
       if (!ctxs_[c]->active()) {
         continue;
@@ -153,7 +171,6 @@ class Walk {
       }
     }
     AuditDirectory();
-    EXPECT_EQ(dir_.size(), 0u);
     EXPECT_EQ(dir_.active_bitmap(), 0u);
     // Every abort the walk applied is accounted, by core and by cause.
     for (uint32_t c = 0; c < kCores; ++c) {
@@ -265,36 +282,40 @@ class Walk {
     }
   }
 
-  // Rebuilds the expected directory contents from every context's tracked
-  // lines and compares record for record (readers bitmap and writer exact),
-  // plus the active-speculator bitmap.
+  // Rebuilds the expected readers and writer of every line from every
+  // context's tracked lines and compares them with the directory's bits on
+  // every line the walk can touch (the pool), plus the active-speculator
+  // bitmap.
   void AuditDirectory() {
     uint64_t expected_active = 0;
-    std::map<uint64_t, ConflictDirectory::LineRecord> expected;
+    std::map<uint64_t, asfmem::LineState> expected;
     for (uint32_t c = 0; c < kCores; ++c) {
       if (!ctxs_[c]->active()) {
         continue;
       }
       expected_active |= Bit(c);
       ctxs_[c]->ForEachTrackedLine([&](uint64_t line, bool written) {
-        ConflictDirectory::LineRecord& r = expected[line];
+        asfmem::LineState& r = expected[line];
         if (written) {
-          ASSERT_EQ(r.writer, ConflictDirectory::kNoWriter)
-              << "two contexts hold line " << line << " as written";
-          r.writer = c;
+          ASSERT_EQ(r.writer, 0u) << "two contexts hold line " << line << " as written";
+          r.writer = static_cast<uint8_t>(Bit(c));
         } else {
-          r.readers |= Bit(c);
+          r.readers |= static_cast<uint8_t>(Bit(c));
         }
       });
     }
     ASSERT_EQ(dir_.active_bitmap(), expected_active);
-    ASSERT_EQ(dir_.size(), expected.size());
-    dir_.ForEach([&](uint64_t line, const ConflictDirectory::LineRecord& r) {
-      auto it = expected.find(line);
-      ASSERT_NE(it, expected.end()) << "stale directory record for line " << line;
-      EXPECT_EQ(r.readers, it->second.readers) << "line " << line;
-      EXPECT_EQ(r.writer, it->second.writer) << "line " << line;
-    });
+    for (uint32_t i = 0; i < kNumLines; ++i) {
+      const uint64_t line = pool_.Line(i);
+      const auto it = expected.find(line);
+      const asfmem::LineState want = it == expected.end() ? asfmem::LineState{} : it->second;
+      if (it != expected.end()) {
+        expected.erase(it);
+      }
+      EXPECT_EQ(dir_.Record(line).readers, want.readers) << "line " << i;
+      EXPECT_EQ(dir_.Record(line).writer, want.writer) << "line " << i;
+    }
+    EXPECT_TRUE(expected.empty()) << "a context tracks a line outside the walk's pool";
   }
 
   const AsfVariant variant_;

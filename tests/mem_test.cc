@@ -215,6 +215,9 @@ TEST(Tlb, MatchesBruteForceLru) {
 
 // --- Per-line/per-page state table --------------------------------------------
 
+// One byte per field: the table's host memory is four bytes per line.
+static_assert(sizeof(LineState) == 4);
+
 // StateTable against std::map/std::set references, on keys that span several
 // chunks, their edges and the top of the address space.
 TEST(StateTable, MatchesMapReference) {
@@ -238,7 +241,9 @@ TEST(StateTable, MatchesMapReference) {
     const uint64_t op = next() % 4;
     if (op == 0) {
       const uint64_t line = pick(kChunkLines, kTopLine);
-      const LineState v{static_cast<uint32_t>(next()), static_cast<uint8_t>(next())};
+      const uint64_t bits = next();
+      const LineState v{static_cast<uint8_t>(bits), static_cast<uint8_t>(bits >> 8),
+                        static_cast<uint8_t>(bits >> 16), static_cast<uint8_t>(bits >> 24)};
       table.Line(line) = v;
       lines[line] = v;
     } else if (op == 1) {
@@ -247,6 +252,8 @@ TEST(StateTable, MatchesMapReference) {
       const LineState want = it == lines.end() ? LineState{} : it->second;
       ASSERT_EQ(table.Line(line).sharers, want.sharers) << "line " << line;
       ASSERT_EQ(table.Line(line).owner, want.owner) << "line " << line;
+      ASSERT_EQ(table.Line(line).readers, want.readers) << "line " << line;
+      ASSERT_EQ(table.Line(line).writer, want.writer) << "line " << line;
     } else if (op == 2) {
       const uint64_t page = pick(kChunkPages, kTopPage);
       ASSERT_EQ(table.MarkPresent(page), pages.insert(page).second) << "page " << page;
@@ -556,6 +563,25 @@ TEST(MemFastPathTest, FlushLineKillsMemo) {
   mem.FlushLine(0x3000 >> 6);
   // Without the DropFromCore memo kill this would be a (wrong) 3-cycle hit.
   EXPECT_GT(mem.Access(0, 0x3000, 8, false).latency, p.l1_latency);
+}
+
+// FlushLine drops the line from the caches and clears its coherence state;
+// the speculative readers and writer in the same record belong to the ASF
+// conflict directory and stay.
+TEST(MemFastPathTest, FlushLineKeepsSpeculativeBits) {
+  MemParams p;
+  MemorySystem mem(2, p);
+  mem.PretouchPages(0, 1 << 20);
+  const uint64_t line = 0x4000 >> 6;
+  mem.Access(0, 0x4000, 8, false);
+  mem.Access(1, 0x4000, 8, true);
+  mem.state().Line(line).readers = 0b01;
+  mem.state().Line(line).writer = 0b10;
+  mem.FlushLine(line);
+  EXPECT_EQ(mem.state().Line(line).sharers, 0u);
+  EXPECT_EQ(mem.state().Line(line).owner, 0u);
+  EXPECT_EQ(mem.state().Line(line).readers, 0b01u);
+  EXPECT_EQ(mem.state().Line(line).writer, 0b10u);
 }
 
 // --- Pretouched page ranges --------------------------------------------------

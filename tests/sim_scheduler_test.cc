@@ -146,6 +146,22 @@ TEST(Scheduler, WorkCyclesRespectIpc) {
   EXPECT_EQ(handler.log[0].cycle, 50u);
 }
 
+// Small batches read their cycles from a per-core table; every batch size,
+// on both sides of the table's end, must charge what the IPC formula gives.
+TEST(Core, WorkTableMatchesIpcFormula) {
+  for (double ipc : {1.5, 2.0, 0.7, 3.0}) {
+    CoreParams p = NoTimerParams();
+    p.ipc = ipc;
+    Core core(0, p);
+    for (uint64_t n = 0; n < 400; ++n) {
+      core.WorkInstructions(n);
+      ASSERT_EQ(core.TakePendingWork(),
+                static_cast<uint64_t>(static_cast<double>(n) / ipc + 0.5))
+          << "ipc " << ipc << ", " << n << " instructions";
+    }
+  }
+}
+
 TEST(AbortScope, NormalCompletionReturnsNone) {
   Scheduler sched(1, NoTimerParams());
   RecordingHandler handler(1);

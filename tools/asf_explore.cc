@@ -279,7 +279,7 @@ int main(int argc, char** argv) {
   std::string workload = args.Get("workload", "intset");
   RuntimeKind runtime = ParseRuntime(args.Get("runtime", "asf"));
   asf::AsfVariant variant = ParseVariant(args.Get("variant", "llb256"));
-  uint32_t threads = static_cast<uint32_t>(args.GetInt("threads", 8, 1, 8));
+  uint32_t threads = static_cast<uint32_t>(args.GetInt("threads", 8, 1, asfcommon::kMaxCores));
   uint64_t seed = args.GetInt("seed", 1);
 
   // Litmus mode: enumerate a semantics test instead of running a workload.

@@ -1,13 +1,16 @@
 // Copyright (c) 2026 The asf-tm-stack Authors. All rights reserved.
 // Google-benchmark microbenchmarks of the simulation substrate itself:
 // host-side throughput of the scheduler (simulated accesses per second), the
-// cache model, the LLB, and the STM barrier path. These justify the
-// "rapid prototyping" requirement the paper places on its simulator
-// (Sec. 4): configurations must run fast enough to explore the design space.
+// cache model, the LLB, an ASF context's region, and the STM barrier path.
+// These justify the "rapid prototyping" requirement the paper places on its
+// simulator (Sec. 4): configurations must run fast enough to explore the
+// design space.
 #include <benchmark/benchmark.h>
 
 #include <vector>
 
+#include "src/asf/asf_context.h"
+#include "src/asf/conflict_directory.h"
 #include "src/asf/llb.h"
 #include "src/harness/experiment.h"
 #include "src/mem/cache.h"
@@ -54,6 +57,34 @@ void BM_LlbAddReleaseRestore(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * (capacity + capacity / 4));
 }
 BENCHMARK(BM_LlbAddReleaseRestore)->Arg(8)->Arg(256);
+
+// One speculative region of an AsfContext on a standalone conflict
+// directory, by variant (arg 0: LLB-8, 1: LLB-256, 2: LLB-256 w/ L1): 16
+// AddReads of 6 lines (so 10 repeats), 2 AddWrites of new lines, a Release
+// of a read line, then the outermost commit. The set fits the LLB-8, so no
+// region aborts. Items = regions.
+void BM_AsfContextRegion(benchmark::State& state) {
+  static const asf::AsfVariant kVariants[] = {asf::AsfVariant::Llb8(), asf::AsfVariant::Llb256(),
+                                              asf::AsfVariant::Llb256WithL1()};
+  alignas(64) static uint8_t lines[8 * 64];
+  asf::ConflictDirectory dir(1, /*gate_enabled=*/true);
+  asf::AsfContext ctx(0, kVariants[state.range(0)], dir);
+  const uint64_t base = reinterpret_cast<uint64_t>(lines) >> 6;
+  for (auto _ : state) {
+    ctx.Speculate();
+    bool ok = true;
+    for (uint64_t i = 0; i < 16; ++i) {
+      ok &= ctx.AddRead(base + i % 6);
+    }
+    ok &= ctx.AddWrite(base + 6);
+    ok &= ctx.AddWrite(base + 7);
+    ctx.Release(base + 1);
+    benchmark::DoNotOptimize(ok);
+    ctx.CommitTop();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_AsfContextRegion)->DenseRange(0, 2);
 
 // Host cost of one MemorySystem::Access on a paper machine's hierarchy, by
 // path. Arg 0: memo hit (one line loaded over and over). Arg 1: L1 hit that

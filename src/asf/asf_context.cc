@@ -30,7 +30,6 @@ bool AsfContext::CommitTop() {
   ++stats_.commits;
   TeardownDirectory();
   llb_.Clear();
-  l1_read_lines_.Clear();
   atomic_phase_ = false;
   return true;
 }
@@ -42,96 +41,76 @@ void AsfContext::Abort(AbortCause cause) {
   ++stats_.aborts[static_cast<size_t>(cause)];
   TeardownDirectory();
   llb_.RestoreAll();
-  l1_read_lines_.Clear();
   depth_ = 0;
   atomic_phase_ = false;
 }
 
 void AsfContext::TeardownDirectory() {
-  // ForEachTrackedLine would double-visit nothing here (LLB and L1 read bits
-  // are disjoint by construction), but RemoveLine is idempotent regardless.
-  ForEachTrackedLine([&](uint64_t line, bool /*written*/) { dir_.RemoveLine(core_id_, line); });
+  // RemoveLine is idempotent, so a line listed twice, or both listed and in
+  // the LLB, is harmless.
+  llb_.ForEachLine([&](uint64_t line, bool /*written*/) { dir_.RemoveLine(core_id_, line); });
+  for (uint64_t line : l1_read_lines_) {
+    dir_.RemoveLine(core_id_, line);
+  }
+  l1_read_lines_.clear();
+  l1_read_count_ = 0;
   dir_.OnDeactivate(core_id_);
 }
 
 bool AsfContext::AddRead(uint64_t line) {
   ASF_CHECK(active());
-  if (variant_.asf1_static_set && atomic_phase_ && !HasRead(line) && !HasWrite(line)) {
+  if (HasRead(line)) {
+    return true;  // Already monitored, as a read or as a write.
+  }
+  if (variant_.asf1_static_set && atomic_phase_) {
     return false;  // ASF1: no set expansion inside the atomic phase.
   }
   if (variant_.l1_read_set) {
-    // The L1 tracks reads; a line already in the write set needs no extra
-    // tracking (the LLB monitors it).
-    if (llb_.HasWrittenLine(line)) {
-      return true;
-    }
-    l1_read_lines_.Insert(line);
-    dir_.AddReader(core_id_, line);
-    return true;  // Capacity effects arrive via OnL1Drop displacement.
-  }
-  bool written;
-  if (!llb_.AddRead(line, &written)) {
+    l1_read_lines_.push_back(line);
+    ++l1_read_count_;
+  } else if (!llb_.AddRead(line)) {
     return false;
   }
-  // A line we already wrote is monitored through the writer record; adding a
-  // reader bit would break the directory's exclusive-writer invariant.
-  if (!written) {
-    dir_.AddReader(core_id_, line);
-  }
-  return true;
+  dir_.AddReader(core_id_, line);
+  return true;  // w/-L1: capacity effects arrive via OnL1Drop displacement.
 }
 
 bool AsfContext::AddWrite(uint64_t line) {
   ASF_CHECK(active());
-  if (variant_.asf1_static_set && atomic_phase_ && !HasRead(line) && !HasWrite(line)) {
+  const asfmem::LineState& s = dir_.Record(line);
+  if ((s.writer & bit_) != 0) {
+    return true;
+  }
+  const bool was_read = (s.readers & bit_) != 0;
+  if (variant_.asf1_static_set && atomic_phase_ && !was_read) {
     return false;  // ASF1: new lines cannot join the set mid-atomic-phase.
   }
   atomic_phase_ = true;
-  if (variant_.l1_read_set) {
-    // Write set lives in the LLB; drop any read-bit tracking for the line
-    // (the LLB entry subsumes it, and keeping it would turn a later benign
-    // L1 displacement into a spurious capacity abort).
-    if (!llb_.AddWrite(line)) {
-      return false;
-    }
-    l1_read_lines_.Erase(line);
-  } else if (!llb_.AddWrite(line)) {
+  if (!llb_.AddWrite(line)) {
     return false;
+  }
+  // w/-L1: the write set lives in the LLB, which subsumes the line's read-bit
+  // tracking (keeping it would turn a later benign L1 displacement into a
+  // spurious capacity abort). SetWriter clears the reader bit.
+  if (variant_.l1_read_set && was_read) {
+    --l1_read_count_;
   }
   dir_.SetWriter(core_id_, line);
   return true;
 }
 
 void AsfContext::Release(uint64_t line) {
-  if (!active()) {
+  // Only a read-only line carries the reader bit; a written one is left
+  // alone (RELEASE cannot cancel a speculative store).
+  if ((dir_.Record(line).readers & bit_) == 0) {
     return;
   }
-  bool dropped;
   if (variant_.l1_read_set) {
-    dropped = l1_read_lines_.Erase(line);
+    --l1_read_count_;
   } else {
-    dropped = llb_.Release(line);
+    llb_.Release(line);
   }
-  if (dropped) {
-    dir_.DropReader(core_id_, line);
-  }
-}
-
-bool AsfContext::HasRead(uint64_t line) const {
-  if (!active()) {
-    return false;
-  }
-  if (variant_.l1_read_set) {
-    return l1_read_lines_.Contains(line) || llb_.HasLine(line);
-  }
-  return llb_.HasLine(line);
-}
-
-bool AsfContext::OnL1Drop(uint64_t line) {
-  if (!active() || !variant_.l1_read_set) {
-    return false;
-  }
-  return l1_read_lines_.Contains(line);
+  dir_.DropReader(core_id_, line);
 }
 
 }  // namespace asf

@@ -5,20 +5,22 @@
 // sets (in the LLB, or — for the "w/ L1" variants — the read set via
 // speculative-read bits in the modeled L1 cache), and performs architectural
 // rollback on abort. Conflict *policy* (requester wins) is applied by the
-// Machine through the shared ConflictDirectory; every protected-set mutation
-// here is mirrored into that directory at the point it happens, so one read
-// of a line's directory bits answers what HasRead/HasWrite of every remote
-// context answered before. The per-context queries remain the reference
-// semantics (tests cross-check the directory against them).
+// Machine through the shared ConflictDirectory. Every protected-set mutation
+// here sets or clears this core's reader or writer bit of the line in that
+// directory at the point it happens, and those bits are the one record of
+// which lines the context holds: HasRead, HasWrite, OnL1Drop, Release and the
+// ASF1 static-set check read them. The LLB keeps the lines' backups and the
+// capacity count; the w/-L1 read set keeps only a list of the lines whose
+// reader bit the region set, for the teardown, and a count of bits still set.
 #ifndef SRC_ASF_ASF_CONTEXT_H_
 #define SRC_ASF_ASF_CONTEXT_H_
 
 #include <array>
 #include <cstdint>
+#include <vector>
 
 #include "src/common/abort_cause.h"
 #include "src/common/defs.h"
-#include "src/common/flat_table.h"
 #include "src/asf/asf_params.h"
 #include "src/asf/conflict_directory.h"
 #include "src/asf/llb.h"
@@ -43,10 +45,14 @@ struct AsfContextStats {
 
 class AsfContext {
  public:
-  // `dir` is the conflict directory this context mirrors its protected sets
-  // into: the Machine's, or a standalone one in unit tests.
+  // `dir` is the conflict directory whose bits record this context's
+  // protected sets: the Machine's, or a standalone one in unit tests.
   AsfContext(uint32_t core_id, const AsfVariant& variant, ConflictDirectory& dir)
-      : core_id_(core_id), variant_(variant), dir_(dir), llb_(variant.llb_entries) {}
+      : core_id_(core_id),
+        bit_(static_cast<uint8_t>(1u << core_id)),
+        variant_(variant),
+        dir_(dir),
+        llb_(variant.llb_entries) {}
 
   uint32_t core_id() const { return core_id_; }
   const AsfVariant& variant() const { return variant_; }
@@ -79,61 +85,48 @@ class AsfContext {
   void Release(uint64_t line);
 
   // --- Conflict queries (victim side) --------------------------------------
-  bool HasRead(uint64_t line) const;
-  bool HasWrite(uint64_t line) const { return active() && llb_.HasWrittenLine(line); }
-  // A remote (or unannotated local) access conflicts if it writes a line we
-  // monitor, or touches a line we speculatively wrote.
-  bool ConflictsWith(uint64_t line, bool remote_is_write) const {
-    if (!active()) {
-      return false;
-    }
-    if (remote_is_write) {
-      return HasRead(line) || HasWrite(line);
-    }
-    return HasWrite(line);
+  // Answered from this core's bits of the line in the directory, which never
+  // name an inactive core (commit and abort clear them).
+  bool HasRead(uint64_t line) const {
+    const asfmem::LineState& s = dir_.Record(line);
+    return ((s.readers | s.writer) & bit_) != 0;
   }
+  bool HasWrite(uint64_t line) const { return (dir_.Record(line).writer & bit_) != 0; }
 
   // L1 line displaced (evicted or invalidated). For the w/-L1 variants a
   // displaced read-set line loses its monitoring: returns true, meaning the
   // region must take a capacity abort. (Invalidation-by-conflict is handled
   // first by the Machine's conflict scan, so anything arriving here is a
   // displacement effect: associativity pressure or remote invalidation of a
-  // colocated line.)
-  bool OnL1Drop(uint64_t line);
+  // colocated line.) A written line carries the writer bit, not the reader
+  // bit: the LLB monitors it, so its displacement is benign.
+  bool OnL1Drop(uint64_t line) const {
+    return variant_.l1_read_set && (dir_.Record(line).readers & bit_) != 0;
+  }
 
   uint32_t read_set_lines() const {
-    return variant_.l1_read_set ? static_cast<uint32_t>(l1_read_lines_.size())
-                                : llb_.size() - llb_.written_count();
+    return variant_.l1_read_set ? l1_read_count_ : llb_.size() - llb_.written_count();
   }
   uint32_t write_set_lines() const { return llb_.written_count(); }
-
-  // Visits every line this context tracks, as (line, written) pairs — the
-  // LLB entries plus (for w/-L1 variants) the L1 speculative-read bits.
-  // Used by the commit/abort directory teardown and the coherence tests.
-  template <typename Fn>
-  void ForEachTrackedLine(Fn&& fn) const {
-    llb_.ForEachLine(fn);
-    if (variant_.l1_read_set) {
-      l1_read_lines_.ForEach([&](uint64_t line) { fn(line, false); });
-    }
-  }
 
   const AsfContextStats& stats() const { return stats_; }
   void ResetStats() { stats_ = AsfContextStats{}; }
 
  private:
-  // Tears this context's lines out of the directory ahead of an outermost
-  // commit or an abort clearing the sets.
+  // Clears this context's bits from every line it holds, ahead of an
+  // outermost commit or an abort clearing the sets.
   void TeardownDirectory();
 
   const uint32_t core_id_;
+  const uint8_t bit_;  // This core's bit in a line's readers and writer.
   const AsfVariant variant_;
   ConflictDirectory& dir_;
   Llb llb_;
-  // Read-set lines tracked via L1 speculative-read bits (w/-L1 variants).
-  // Probed on every remote access during the conflict scan, so it uses the
-  // flat open-addressing layout.
-  asfcommon::FlatSet64 l1_read_lines_{128};
+  // w/-L1 variants: the lines whose reader bit this region set, for the
+  // teardown (a line may repeat or have moved to the write set), and the
+  // number of those bits still set.
+  std::vector<uint64_t> l1_read_lines_;
+  uint32_t l1_read_count_ = 0;
   uint32_t depth_ = 0;
   bool atomic_phase_ = false;
   AsfContextStats stats_;

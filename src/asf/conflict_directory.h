@@ -16,14 +16,15 @@
 // *other* core is speculating (the dominant case in low-contention phases),
 // resolution is skipped without reading anything.
 //
-// Coherence contract: AsfContext mirrors every protected-set mutation into
-// the directory at the point it happens — AddRead/AddWrite/Release while the
-// region runs, and the per-line teardown on outermost commit, on abort (any
-// cause: contention, capacity, displacement, fault injection), and nowhere
-// else. A line's bits therefore never name an inactive core, and at most one
-// core is writer of a line at a time (requester-wins aborts every other
-// holder before a write proceeds). tests/conflict_directory_test.cc checks
-// both invariants against a brute-force all-contexts reference scan.
+// Coherence contract: the bits are every AsfContext's one record of the
+// lines it holds. A context sets or clears its bits at the point each
+// protected-set mutation happens — AddRead/AddWrite/Release while the region
+// runs, and the per-line teardown on outermost commit, on abort (any cause:
+// contention, capacity, displacement, fault injection), and nowhere else. A
+// line's bits therefore never name an inactive core, and at most one core is
+// writer of a line at a time (requester-wins aborts every other holder
+// before a write proceeds). tests/conflict_directory_test.cc checks both
+// invariants, and every Resolve, against per-core reference sets of its own.
 #ifndef SRC_ASF_CONFLICT_DIRECTORY_H_
 #define SRC_ASF_CONFLICT_DIRECTORY_H_
 

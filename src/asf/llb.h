@@ -10,8 +10,10 @@
 // hardware design's data flow (write in place, backup in the LLB).
 //
 // The line->entry index is a FlatMap64 (src/common/flat_table.h) sized at
-// two slots per entry, so it never grows and probes stay short: membership
-// probes run on every simulated memory access of every core. The entries
+// two slots per entry, so it never grows and probes stay short. Inside a
+// Machine it is probed only to add or release a line: AsfContext answers
+// membership from the conflict directory's reader and writer bits, so
+// HasLine and HasWrittenLine serve an Llb driven on its own. The entries
 // themselves sit in an array in insertion order (Release swaps the last one
 // into the hole), which fixes the order of ForEachLine and RestoreAll.
 #ifndef SRC_ASF_LLB_H_
@@ -50,19 +52,8 @@ class Llb {
   // Adds `line` to the protected set (read monitoring). Returns false if the
   // buffer is full (capacity abort).
   bool AddRead(uint64_t line) {
-    bool written;
-    return AddRead(line, &written);
-  }
-  // As above, and sets `*written` to whether the line is already in the
-  // write set — from the same index probe.
-  bool AddRead(uint64_t line, bool* written) {
     uint32_t& pos = index_[line];
-    if (pos != 0) {
-      *written = entries_[pos - 1].written;
-      return true;
-    }
-    *written = false;
-    return Append(line, pos) != nullptr;
+    return pos != 0 || Append(line, pos) != nullptr;
   }
 
   // Adds `line` to the write set, taking a backup of the line's current
@@ -83,8 +74,7 @@ class Llb {
   // RELEASE semantics: drops a read-only line from the protected set. A
   // pending speculative store cannot be cancelled (only ABORT can), so a
   // written line is left untouched — RELEASE is strictly a hint. Returns
-  // true when an entry was actually dropped (the conflict directory mirrors
-  // exactly those drops).
+  // true when an entry was actually dropped.
   bool Release(uint64_t line) {
     const uint32_t* found = index_.Find(line);
     if (found == nullptr || entries_[*found - 1].written) {

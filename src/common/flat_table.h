@@ -1,9 +1,8 @@
 // Copyright (c) 2026 The asf-tm-stack Authors. All rights reserved.
 // The simulator's one open-addressing hash table, keyed by uint64. Its users
-// are the conflict directory's line records (FlatMap64), the L1 read-set
-// variant's tracked lines (FlatSet64), the LLB's line index (src/asf/llb.h)
-// and the L1 TLB's page index (src/mem/tlb.h). Each is a host-only lookup
-// index: no simulated result depends on its slot layout.
+// are the LLB's line index (src/asf/llb.h) and the L1 TLB's page index
+// (src/mem/tlb.h). Each is a host-only lookup index: no simulated result
+// depends on its slot layout.
 //
 // Layout: a flat key array and a parallel value array, linear probing,
 // power-of-two capacity, Fibonacci hashing to spread the low-entropy
@@ -22,7 +21,6 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -122,10 +120,8 @@ class FlatMap64 {
   }
 
   // Visits every (key, value) pair in slot order (unspecified w.r.t.
-  // insertion). Enables aggregate maintenance of packed bitmap/record values
-  // — e.g. the conflict directory's per-core teardown and its coherence
-  // cross-checks — without exposing the slot layout. `fn` must not mutate
-  // the table (no insert/erase) while iterating.
+  // insertion), without exposing the slot layout. `fn` must not mutate the
+  // table (no insert/erase) while iterating.
   template <typename Fn>
   void ForEach(Fn&& fn) const {
     if (size_ == 0) {
@@ -139,16 +135,6 @@ class FlatMap64 {
   }
 
  private:
-  // Stands in for the value array when V holds no state (FlatSet64), so a
-  // slot costs only its 8-byte key.
-  struct NoValues {
-    V& operator[](size_t) const { return value; }
-    void assign(size_t, const V&) {}
-    static inline V value{};
-  };
-  using Values = std::conditional_t<std::is_empty_v<V>, NoValues, std::vector<V>>;
-  static_assert(!std::is_empty_v<V> || std::is_empty_v<Values>,
-                "an empty payload must store no value array");
   static constexpr size_t kNotFound = ~size_t{0};
 
   size_t HomeOf(uint64_t key) const {
@@ -176,7 +162,7 @@ class FlatMap64 {
   void Rehash(size_t new_capacity) {
     new_capacity = std::bit_ceil(std::max<size_t>(new_capacity, 8));
     std::vector<uint64_t> old_keys = std::move(keys_);
-    Values old_values = std::move(values_);
+    std::vector<V> old_values = std::move(values_);
     keys_.assign(new_capacity, flat_internal::kEmptyKey);
     values_.assign(new_capacity, V{});
     shift_ = 64 - static_cast<uint32_t>(std::countr_zero(new_capacity));
@@ -192,39 +178,10 @@ class FlatMap64 {
 
   // Parallel arrays: probes scan only the keys.
   std::vector<uint64_t> keys_;
-  [[no_unique_address]] Values values_;
+  std::vector<V> values_;
   size_t size_ = 0;
   size_t grow_at_ = 0;  // 7/8 of the capacity.
   uint32_t shift_ = 64;
-};
-
-// Flat open-addressing set of uint64 keys: a FlatMap64 with no payload.
-class FlatSet64 {
- public:
-  explicit FlatSet64(size_t initial_capacity = 64) : map_(initial_capacity) {}
-
-  size_t size() const { return map_.size(); }
-  bool empty() const { return map_.empty(); }
-
-  bool Contains(uint64_t key) const { return map_.Contains(key); }
-
-  // Returns true if `key` was newly inserted.
-  bool Insert(uint64_t key) { return map_.TryEmplace(key).second; }
-
-  bool Erase(uint64_t key) { return map_.Erase(key); }
-
-  void Clear() { map_.Clear(); }
-
-  // Visits every key in slot order (unspecified w.r.t. insertion). `fn`
-  // must not mutate the set while iterating.
-  template <typename Fn>
-  void ForEach(Fn&& fn) const {
-    map_.ForEach([&fn](uint64_t key, Empty) { fn(key); });
-  }
-
- private:
-  struct Empty {};
-  FlatMap64<Empty> map_;
 };
 
 }  // namespace asfcommon

@@ -154,9 +154,7 @@ TEST(Llb, MatchesReferenceModel) {
         backups.clear();
         ASSERT_EQ(std::memcmp(mem.data(), shadow.data(), pool * sizeof(LineBuf)), 0) << step;
       } else if (op % 3 == 0) {
-        bool written = true;
-        ASSERT_EQ(llb.AddRead(line, &written), fits) << step;
-        ASSERT_EQ(written, it != ref.end() && it->second) << step;
+        ASSERT_EQ(llb.AddRead(line), fits) << step;
         overflows += fits ? 0 : 1;
         if (fits && it == ref.end()) {
           ref.emplace(line, false);
@@ -247,20 +245,25 @@ TEST(AsfContext, AbortInsideNestingRollsBackWholeRegion) {
 
 TEST(AsfContext, ConflictMatrix) {
   LineBuf wbuf;  // AddWrite snapshots host memory, so use a real line.
-  ConflictDirectory dir(1, /*gate_enabled=*/true);
+  // Ungated, so every Resolve reads the bits, also after the abort.
+  ConflictDirectory dir(2, /*gate_enabled=*/false);
   AsfContext ctx(0, AsfVariant::Llb256(), dir);
   ASSERT_TRUE(ctx.Speculate());
   ASSERT_TRUE(ctx.AddRead(10));
   ASSERT_TRUE(ctx.AddWrite(wbuf.LineNumber()));
+  // Core 1 is the remote requester; a victim set naming core 0 is a conflict.
   // Remote read vs our read: compatible. Remote write vs our read: conflict.
-  EXPECT_FALSE(ctx.ConflictsWith(10, /*remote_is_write=*/false));
-  EXPECT_TRUE(ctx.ConflictsWith(10, /*remote_is_write=*/true));
+  EXPECT_EQ(dir.Resolve(10, 10, /*write_like=*/false, 1), 0u);
+  EXPECT_EQ(dir.Resolve(10, 10, /*write_like=*/true, 1), 1u);
   // Any remote access to our written line conflicts (strong isolation).
-  EXPECT_TRUE(ctx.ConflictsWith(wbuf.LineNumber(), false));
-  EXPECT_TRUE(ctx.ConflictsWith(wbuf.LineNumber(), true));
+  EXPECT_EQ(dir.Resolve(wbuf.LineNumber(), wbuf.LineNumber(), false, 1), 1u);
+  EXPECT_EQ(dir.Resolve(wbuf.LineNumber(), wbuf.LineNumber(), true, 1), 1u);
   // Unrelated lines never conflict.
-  EXPECT_FALSE(ctx.ConflictsWith(12, true));
+  EXPECT_EQ(dir.Resolve(12, 12, true, 1), 0u);
   ctx.Abort(AbortCause::kContention);
+  // The abort tore the records down.
+  EXPECT_EQ(dir.Resolve(10, 10, true, 1), 0u);
+  EXPECT_EQ(dir.Resolve(wbuf.LineNumber(), wbuf.LineNumber(), false, 1), 0u);
 }
 
 TEST(AsfContext, L1ReadSetVariantDropCausesCapacitySignal) {

@@ -2,16 +2,21 @@
 // Conflict-directory coherence tests.
 //
 // The directory-based conflict scan replaced the Machine's all-contexts sweep
-// for performance; its one non-negotiable property is *semantic equivalence*:
-// for every access, Resolve() must return exactly the victim set a brute-force
-// ConflictsWith() scan over every other context would, whatever interleaving
-// of accesses, commits, aborts, releases, and L1 displacements preceded it.
-// The randomized walk below drives real AsfContexts (all three variant
-// classes) through thousands of mixed events, checking that equivalence on
-// every access and auditing the directory's bits on every line the walk can
-// touch against the contexts' tracked lines at regular intervals — with the
-// active-speculator gate both enabled and disabled, since the gate must be
-// invisible.
+// for performance, and its bits are now the contexts' only record of the
+// lines they hold; its one non-negotiable property is *semantic equivalence*
+// with the paper's per-context protected sets. The randomized walk below
+// drives real AsfContexts (all three variant classes) through thousands of
+// mixed events — accesses, nested speculation, commits, fault-injected
+// aborts, releases and L1 displacements — and keeps its own reference: per
+// core, a map from each protected line to whether it was written, updated
+// from the results of AddRead and AddWrite, from Release, and from outermost
+// commits and aborts. On every access Resolve() must return exactly the
+// victims a brute-force scan of those maps names; every step checks the
+// acting core's set sizes and add results, every OnL1Drop its return value,
+// and at regular intervals an audit compares the directory's bits and the
+// contexts' HasRead/HasWrite on every line the walk can touch with the maps
+// — with the active-speculator gate both enabled and disabled, since the
+// gate must be invisible.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -160,11 +165,12 @@ class Walk {
     // Wind down: every context commits or aborts, after which no line may
     // keep a bit.
     for (uint32_t c = 0; c < kCores; ++c) {
-      if (!ctxs_[c]->active()) {
+      if (depth_[c] == 0) {
         continue;
       }
       if (rng_.NextPercent(50)) {
-        while (!ctxs_[c]->CommitTop()) {
+        while (depth_[c] > 0) {
+          Commit(c);
         }
       } else {
         AbortCore(c, AbortCause::kExplicitAbort);
@@ -181,12 +187,57 @@ class Walk {
  private:
   static uint64_t Bit(uint32_t core) { return uint64_t{1} << core; }
 
+  // Outermost commits and aborts empty a core's protected set.
+  void Commit(uint32_t core) {
+    --depth_[core];
+    ASSERT_EQ(ctxs_[core]->CommitTop(), depth_[core] == 0);
+    if (depth_[core] == 0) {
+      EndRegion(core);
+    }
+  }
+
   void AbortCore(uint32_t core, AbortCause cause) {
     ctxs_[core]->Abort(cause);
     ++expected_aborts_[core][static_cast<size_t>(cause)];
+    depth_[core] = 0;
+    EndRegion(core);
   }
 
-  // The reference scan the directory replaced: ask every other context.
+  void EndRegion(uint32_t core) {
+    sets_[core].clear();
+    atomic_phase_[core] = false;
+  }
+
+  // Whether the reference admits `line` into `core`'s set: a line already
+  // held (a write: already written) needs nothing; otherwise ASF1 freezes the
+  // set once the region has written, and a new LLB entry needs a free slot.
+  // The LLB holds every protected line, or only the written ones for the
+  // w/-L1 variants, whose read set is not capacity-bound here.
+  bool ReferenceAdmits(uint32_t core, uint64_t line, bool write) const {
+    const std::map<uint64_t, bool>& set = sets_[core];
+    const auto it = set.find(line);
+    const bool held = it != set.end();
+    if (held && (!write || it->second)) {
+      return true;
+    }
+    if (variant_.asf1_static_set && atomic_phase_[core] && !held) {
+      return false;
+    }
+    if (variant_.l1_read_set) {
+      return !write || WrittenLines(core) < variant_.llb_entries;
+    }
+    return held || set.size() < variant_.llb_entries;
+  }
+
+  uint32_t WrittenLines(uint32_t core) const {
+    uint32_t n = 0;
+    for (const auto& [line, written] : sets_[core]) {
+      n += written ? 1 : 0;
+    }
+    return n;
+  }
+
+  // The reference scan the directory replaced: every other core's set.
   uint64_t BruteForceVictims(uint32_t requester, uint64_t first, uint64_t last,
                              bool write_like) const {
     uint64_t victims = 0;
@@ -195,7 +246,8 @@ class Walk {
         continue;
       }
       for (uint64_t line = first; line <= last; ++line) {
-        if (ctxs_[c]->ConflictsWith(line, write_like)) {
+        const auto it = sets_[c].find(line);
+        if (it != sets_[c].end() && (write_like || it->second)) {
           victims |= Bit(c);
           break;
         }
@@ -217,23 +269,30 @@ class Walk {
     while (victims != 0) {
       const uint32_t o = static_cast<uint32_t>(std::countr_zero(victims));
       victims &= victims - 1;
-      ASSERT_TRUE(ctxs_[o]->active());
+      ASSERT_GT(depth_[o], 0u);
       AbortCore(o, AbortCause::kContention);
     }
-    if (!transactional || !ctxs_[requester]->active()) {
+    if (!transactional || depth_[requester] == 0) {
       return;
     }
     bool ok = true;
     for (uint64_t line = first; line <= last && ok; ++line) {
+      const bool admits = ReferenceAdmits(requester, line, write_like);
       if (write_like) {
         ok = ctxs_[requester]->AddWrite(line);
         if (ok) {
+          sets_[requester][line] = true;
+          atomic_phase_[requester] = true;
           // The speculative store itself (restored if the region aborts).
           *reinterpret_cast<volatile uint8_t*>(line << asfcommon::kCacheLineShift) = 0xEE;
         }
       } else {
         ok = ctxs_[requester]->AddRead(line);
+        if (ok) {
+          sets_[requester].emplace(line, false);
+        }
       }
+      ASSERT_EQ(ok, admits) << variant_.Name() << (write_like ? ": AddWrite" : ": AddRead");
     }
     if (!ok) {
       // Capacity overflow / ASF1 atomic-phase expansion, as in the Machine.
@@ -252,70 +311,80 @@ class Walk {
       const bool write_like = rng_.NextPercent(40);
       // Occasionally an unaligned multi-line access.
       const uint64_t last = (li + 1 < kNumLines && rng_.NextPercent(10)) ? line + 1 : line;
-      Access(c, line, last, write_like, /*transactional=*/ctxs_[c]->active());
+      Access(c, line, last, write_like, /*transactional=*/depth_[c] > 0);
     } else if (dice < 67) {
-      if (ctxs_[c]->depth() < 4) {  // Flat nesting, bounded for the walk.
+      if (depth_[c] < 4) {  // Flat nesting, bounded for the walk.
         EXPECT_TRUE(ctxs_[c]->Speculate());
+        ++depth_[c];
       }
     } else if (dice < 77) {
-      if (ctxs_[c]->active()) {
-        ctxs_[c]->CommitTop();
+      if (depth_[c] > 0) {
+        Commit(c);
       }
     } else if (dice < 83) {
       // Fault-injected / asynchronous aborts (interrupts, page faults,
       // explicit ABORT) — every cause must tear the directory down alike.
-      if (ctxs_[c]->active()) {
+      if (depth_[c] > 0) {
         static constexpr AbortCause kCauses[] = {AbortCause::kInterrupt, AbortCause::kPageFault,
                                                  AbortCause::kExplicitAbort};
         AbortCore(c, kCauses[rng_.NextBelow(3)]);
       }
     } else if (dice < 91) {
-      // Early RELEASE of a (possibly untracked, possibly written) line.
+      // Early RELEASE of a (possibly untracked, possibly written) line: only
+      // a read-only line leaves the set.
       ctxs_[c]->Release(line);
+      const auto it = sets_[c].find(line);
+      if (it != sets_[c].end() && !it->second) {
+        sets_[c].erase(it);
+      }
     } else {
-      // L1 displacement: for the w/-L1 variants a tracked read line loses
-      // its monitoring and the region takes a capacity abort (the Machine's
-      // OnL1LineDropped path). No-op for LLB-only variants.
-      if (ctxs_[c]->OnL1Drop(line)) {
+      // L1 displacement: for the w/-L1 variants a tracked read-only line
+      // loses its monitoring and the region takes a capacity abort (the
+      // Machine's OnL1LineDropped path). Never signals for LLB-only variants.
+      const auto it = sets_[c].find(line);
+      const bool expect_drop = variant_.l1_read_set && it != sets_[c].end() && !it->second;
+      const bool dropped = ctxs_[c]->OnL1Drop(line);
+      ASSERT_EQ(dropped, expect_drop) << variant_.Name() << ": OnL1Drop";
+      if (dropped) {
         AbortCore(c, AbortCause::kCapacity);
       }
     }
+    ASSERT_EQ(ctxs_[c]->depth(), depth_[c]);
+    ASSERT_EQ(ctxs_[c]->write_set_lines(), WrittenLines(c)) << variant_.Name();
+    ASSERT_EQ(ctxs_[c]->read_set_lines(), sets_[c].size() - WrittenLines(c)) << variant_.Name();
   }
 
-  // Rebuilds the expected readers and writer of every line from every
-  // context's tracked lines and compares them with the directory's bits on
-  // every line the walk can touch (the pool), plus the active-speculator
-  // bitmap.
+  // Rebuilds the expected readers and writer of every line the walk can
+  // touch (the pool) from the reference sets and compares them with the
+  // directory's bits and every context's HasRead/HasWrite, plus the
+  // active-speculator bitmap and every context's set sizes.
   void AuditDirectory() {
     uint64_t expected_active = 0;
-    std::map<uint64_t, asfmem::LineState> expected;
     for (uint32_t c = 0; c < kCores; ++c) {
-      if (!ctxs_[c]->active()) {
-        continue;
-      }
-      expected_active |= Bit(c);
-      ctxs_[c]->ForEachTrackedLine([&](uint64_t line, bool written) {
-        asfmem::LineState& r = expected[line];
-        if (written) {
-          ASSERT_EQ(r.writer, 0u) << "two contexts hold line " << line << " as written";
-          r.writer = static_cast<uint8_t>(Bit(c));
-        } else {
-          r.readers |= static_cast<uint8_t>(Bit(c));
-        }
-      });
+      expected_active |= depth_[c] > 0 ? Bit(c) : 0;
+      ASSERT_EQ(ctxs_[c]->write_set_lines(), WrittenLines(c)) << "core " << c;
+      ASSERT_EQ(ctxs_[c]->read_set_lines(), sets_[c].size() - WrittenLines(c)) << "core " << c;
     }
     ASSERT_EQ(dir_.active_bitmap(), expected_active);
     for (uint32_t i = 0; i < kNumLines; ++i) {
       const uint64_t line = pool_.Line(i);
-      const auto it = expected.find(line);
-      const asfmem::LineState want = it == expected.end() ? asfmem::LineState{} : it->second;
-      if (it != expected.end()) {
-        expected.erase(it);
+      asfmem::LineState want{};
+      for (uint32_t c = 0; c < kCores; ++c) {
+        const auto it = sets_[c].find(line);
+        const bool held = it != sets_[c].end();
+        const bool written = held && it->second;
+        if (written) {
+          ASSERT_EQ(want.writer, 0u) << "two cores hold line " << i << " as written";
+          want.writer = static_cast<uint8_t>(Bit(c));
+        } else if (held) {
+          want.readers |= static_cast<uint8_t>(Bit(c));
+        }
+        EXPECT_EQ(ctxs_[c]->HasRead(line), held) << "core " << c << " line " << i;
+        EXPECT_EQ(ctxs_[c]->HasWrite(line), written) << "core " << c << " line " << i;
       }
       EXPECT_EQ(dir_.Record(line).readers, want.readers) << "line " << i;
       EXPECT_EQ(dir_.Record(line).writer, want.writer) << "line " << i;
     }
-    EXPECT_TRUE(expected.empty()) << "a context tracks a line outside the walk's pool";
   }
 
   const AsfVariant variant_;
@@ -323,6 +392,11 @@ class Walk {
   asfcommon::Rng rng_;
   LinePool pool_;
   std::vector<std::unique_ptr<AsfContext>> ctxs_;
+  // The reference: per core, nesting depth, protected line -> written, and
+  // whether the region has written (ASF1's atomic phase).
+  std::array<uint32_t, kCores> depth_{};
+  std::array<std::map<uint64_t, bool>, kCores> sets_;
+  std::array<bool, kCores> atomic_phase_{};
   std::array<std::array<uint64_t, static_cast<size_t>(AbortCause::kNumCauses)>, kCores>
       expected_aborts_{};
 };

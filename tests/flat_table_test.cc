@@ -1,14 +1,14 @@
 // Copyright (c) 2026 The asf-tm-stack Authors. All rights reserved.
-// Tests for the open-addressing hash containers (src/common/flat_table.h)
-// that back the simulator's hot paths. The randomized cases drive a small
-// key range through a small initial table, forcing probe-chain collisions,
-// backward-shift deletions across wrapped chains, and growth rehashes, and
-// check every observation against std::unordered_map/set reference models.
+// Tests for the open-addressing hash table (src/common/flat_table.h) that
+// backs the LLB's line index and the L1 TLB's page index. The randomized
+// cases drive a small key range through a small initial table, forcing
+// probe-chain collisions, backward-shift deletions across wrapped chains,
+// and growth rehashes, and check every observation against a
+// std::unordered_map reference model.
 #include "src/common/flat_table.h"
 
 #include <cstdint>
 #include <unordered_map>
-#include <unordered_set>
 
 #include <gtest/gtest.h>
 
@@ -122,16 +122,6 @@ TEST(FlatMapTest, RandomizedAgainstReferenceModel) {
   }
 }
 
-TEST(FlatSetTest, InsertReportsNewness) {
-  asfcommon::FlatSet64 set(8);
-  EXPECT_TRUE(set.Insert(10));
-  EXPECT_FALSE(set.Insert(10));
-  EXPECT_TRUE(set.Insert(11));
-  EXPECT_EQ(set.size(), 2u);
-  EXPECT_TRUE(set.Contains(10));
-  EXPECT_FALSE(set.Contains(12));
-}
-
 TEST(FlatMapTest, ForEachVisitsEveryEntryOnce) {
   asfcommon::FlatMap64<int> map(8);
   std::unordered_map<uint64_t, int> ref;
@@ -146,58 +136,6 @@ TEST(FlatMapTest, ForEachVisitsEveryEntryOnce) {
     EXPECT_TRUE(seen.emplace(key, v).second) << "key visited twice: " << key;
   });
   EXPECT_EQ(seen, ref);
-}
-
-TEST(FlatSetTest, ForEachVisitsEveryKeyOnce) {
-  asfcommon::FlatSet64 set(8);
-  std::unordered_set<uint64_t> ref;
-  for (uint64_t k = 1; k < 500; k += 7) {
-    set.Insert(k);
-    ref.insert(k);
-  }
-  set.Erase(8);
-  ref.erase(8);
-  std::unordered_set<uint64_t> seen;
-  set.ForEach([&](uint64_t key) {
-    EXPECT_TRUE(seen.insert(key).second) << "key visited twice: " << key;
-  });
-  EXPECT_EQ(seen, ref);
-}
-
-TEST(FlatSetTest, EraseAndClear) {
-  asfcommon::FlatSet64 set;
-  for (uint64_t k = 0; k < 300; ++k) {
-    set.Insert(k);
-  }
-  EXPECT_TRUE(set.Erase(123));
-  EXPECT_FALSE(set.Erase(123));
-  EXPECT_FALSE(set.Contains(123));
-  EXPECT_EQ(set.size(), 299u);
-  set.Clear();
-  EXPECT_TRUE(set.empty());
-  EXPECT_FALSE(set.Contains(0));
-  EXPECT_TRUE(set.Insert(0));
-}
-
-TEST(FlatSetTest, RandomizedAgainstReferenceModel) {
-  asfcommon::FlatSet64 set(8);
-  std::unordered_set<uint64_t> ref;
-  uint64_t rng = 99;
-  for (int op = 0; op < 20000; ++op) {
-    uint64_t key = (Next(&rng) % 131) * 4096;  // Page-number-like keys.
-    switch (Next(&rng) % 3) {
-      case 0:
-        EXPECT_EQ(set.Insert(key), ref.insert(key).second) << "op " << op;
-        break;
-      case 1:
-        EXPECT_EQ(set.Erase(key), ref.erase(key) != 0) << "op " << op;
-        break;
-      default:
-        EXPECT_EQ(set.Contains(key), ref.count(key) != 0) << "op " << op;
-        break;
-    }
-    ASSERT_EQ(set.size(), ref.size()) << "op " << op;
-  }
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Copyright (c) 2026 The asf-tm-stack Authors. All rights reserved.
 // Google-benchmark microbenchmarks of the simulation substrate itself:
-// host-side throughput of the scheduler (simulated accesses per second), the
-// cache model, the LLB, an ASF context's region, and the STM barrier path.
+// host-side throughput of the scheduler (simulated accesses per second),
+// coroutine frames, the cache model, the LLB, an ASF context's region, and
+// the STM barrier path.
 // These justify the "rapid prototyping" requirement the paper places on its
 // simulator (Sec. 4): configurations must run fast enough to explore the
 // design space.
@@ -16,6 +17,7 @@
 #include "src/mem/cache.h"
 #include "src/mem/memory_system.h"
 #include "src/sim/scheduler.h"
+#include "src/sim/task.h"
 #include "src/tm/tm_api.h"
 
 namespace {
@@ -212,6 +214,37 @@ void BM_TxWriteBarrier(benchmark::State& state) { TxBarrierLoop(state, true); }
 BENCHMARK(BM_TxWriteBarrier)
     ->DenseRange(static_cast<int>(harness::RuntimeKind::kAsfTm),
                  static_cast<int>(harness::RuntimeKind::kLockElision));
+
+// Coroutine frame cost through the frame recycler (src/common/frame_pool.h):
+// arg 0 creates, runs and destroys a three-frame tree (a committed attempt:
+// a parent awaiting two leaves in turn); arg 1 destroys a two-frame tree
+// suspended in its leaf (the abort shape). Items = frames.
+asfsim::Task<void> FrameLeaf(uint64_t* counter) {
+  ++*counter;
+  co_return;
+}
+
+asfsim::Task<void> FrameTree(uint64_t* counter) {
+  co_await FrameLeaf(counter);
+  co_await FrameLeaf(counter);
+}
+
+asfsim::Task<void> SuspendedLeaf() { co_await std::suspend_always{}; }
+
+asfsim::Task<void> SuspendedTree() { co_await SuspendedLeaf(); }
+
+void BM_TaskFrame(benchmark::State& state) {
+  const bool abort_shape = state.range(0) == 1;
+  uint64_t counter = 0;
+  for (auto _ : state) {
+    asfsim::Task<void> tree = abort_shape ? SuspendedTree() : FrameTree(&counter);
+    tree.handle().resume();
+    benchmark::DoNotOptimize(counter);
+  }
+  state.SetItemsProcessed(state.iterations() * (abort_shape ? 2 : 3));
+  state.SetLabel(abort_shape ? "suspended tree destroyed" : "tree run to completion");
+}
+BENCHMARK(BM_TaskFrame)->Arg(0)->Arg(1);
 
 // Scheduler cost per access, isolated from the machine model: a handler that
 // charges a fixed latency and touches nothing else. Arg = simulated threads.

@@ -119,21 +119,6 @@ class FlatMap64 {
     size_ = 0;
   }
 
-  // Visits every (key, value) pair in slot order (unspecified w.r.t.
-  // insertion), without exposing the slot layout. `fn` must not mutate the
-  // table (no insert/erase) while iterating.
-  template <typename Fn>
-  void ForEach(Fn&& fn) const {
-    if (size_ == 0) {
-      return;
-    }
-    for (size_t s = 0; s < keys_.size(); ++s) {
-      if (keys_[s] != flat_internal::kEmptyKey) {
-        fn(keys_[s], values_[s]);
-      }
-    }
-  }
-
  private:
   static constexpr size_t kNotFound = ~size_t{0};
 

@@ -47,15 +47,16 @@ struct FinalAwaiter {
 struct PromiseBase {
   std::coroutine_handle<> continuation;
 
-  // Frames cycle through the per-thread recycler (src/common/frame_pool.h):
-  // an aborted attempt's frame tree is reused verbatim by the retry instead
-  // of round-tripping malloc. Host-only — frame addresses never reach the
-  // simulated memory model, so recycling cannot change simulated outcomes.
+  // Frames cycle through the per-thread recycler (src/common/frame_pool.h),
+  // so an aborted attempt's frame tree is reused by the retry. Only the
+  // sized delete is declared: the frame size it receives names the size
+  // class, so blocks need no header.
   static void* operator new(std::size_t size) {
     return asfcommon::FramePool::ForThread().Alloc(size);
   }
-  static void operator delete(void* p, std::size_t) noexcept { asfcommon::FramePool::Free(p); }
-  static void operator delete(void* p) noexcept { asfcommon::FramePool::Free(p); }
+  static void operator delete(void* p, std::size_t size) noexcept {
+    asfcommon::FramePool::Free(p, size);
+  }
 
   std::suspend_always initial_suspend() noexcept { return {}; }
   FinalAwaiter final_suspend() noexcept { return {}; }

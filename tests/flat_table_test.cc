@@ -122,20 +122,4 @@ TEST(FlatMapTest, RandomizedAgainstReferenceModel) {
   }
 }
 
-TEST(FlatMapTest, ForEachVisitsEveryEntryOnce) {
-  asfcommon::FlatMap64<int> map(8);
-  std::unordered_map<uint64_t, int> ref;
-  for (uint64_t k = 0; k < 200; k += 3) {
-    map[k * 4096] = static_cast<int>(k);
-    ref[k * 4096] = static_cast<int>(k);
-  }
-  map.Erase(12 * 4096);
-  ref.erase(12 * 4096);
-  std::unordered_map<uint64_t, int> seen;
-  map.ForEach([&](uint64_t key, const int& v) {
-    EXPECT_TRUE(seen.emplace(key, v).second) << "key visited twice: " << key;
-  });
-  EXPECT_EQ(seen, ref);
-}
-
 }  // namespace

@@ -1,10 +1,10 @@
 // Copyright (c) 2026 The asf-tm-stack Authors. All rights reserved.
 // Tests for the coroutine frame recycler (src/common/frame_pool.h): bucket
 // arithmetic, a randomized allocate/free workload cross-checked against a
-// reference model of the free lists, and — the case the pool exists for —
-// verbatim frame reuse across coroutine abort/retry cycles. The whole file
-// also runs under ASan (build-san), where the payload poisoning must keep
-// recycled frames visible to the sanitizer without false positives.
+// reference model of the free lists, a frame handed from one host thread to
+// another, and — the case the pool exists for — frame reuse across coroutine
+// abort/retry cycles. The whole file also runs under ASan (build-san), where
+// parked blocks are poisoned, and under TSan (label host_threads).
 #include "src/common/frame_pool.h"
 
 #include <gtest/gtest.h>
@@ -13,6 +13,7 @@
 #include <cstring>
 #include <deque>
 #include <map>
+#include <thread>
 #include <vector>
 
 #include "src/common/random.h"
@@ -21,15 +22,15 @@
 namespace asfcommon {
 namespace {
 
+// The largest frame the pool recycles (2 KiB).
+constexpr std::size_t kMaxPooled = FramePool::kGranuleBytes * FramePool::kNumBuckets;
+
 TEST(FramePoolTest, BucketArithmetic) {
-  EXPECT_EQ(FramePool::RoundUp(0), FramePool::kGranuleBytes);
-  EXPECT_EQ(FramePool::RoundUp(1), FramePool::kGranuleBytes);
-  EXPECT_EQ(FramePool::RoundUp(64), 64u);
-  EXPECT_EQ(FramePool::RoundUp(65), 128u);
-  EXPECT_EQ(FramePool::RoundUp(FramePool::kMaxPooledBytes), FramePool::kMaxPooledBytes);
+  EXPECT_EQ(FramePool::BucketOf(1), 0u);
   EXPECT_EQ(FramePool::BucketOf(64), 0u);
-  EXPECT_EQ(FramePool::BucketOf(128), 1u);
-  EXPECT_EQ(FramePool::BucketOf(FramePool::kMaxPooledBytes), FramePool::kNumBuckets - 1);
+  EXPECT_EQ(FramePool::BucketOf(65), 1u);
+  EXPECT_EQ(FramePool::BucketOf(kMaxPooled), FramePool::kNumBuckets - 1);
+  EXPECT_EQ(FramePool::BucketOf(kMaxPooled + 1), FramePool::kNumBuckets);
 }
 
 TEST(FramePoolTest, RecyclesSameBucketLifo) {
@@ -37,24 +38,27 @@ TEST(FramePoolTest, RecyclesSameBucketLifo) {
   const uint64_t hits_before = tp.stats().pool_hits;
   void* c = tp.Alloc(100);
   void* d = tp.Alloc(100);
-  FramePool::Free(c);
-  FramePool::Free(d);
-  void* e = tp.Alloc(100);  // LIFO: reuses d's block.
+  FramePool::Free(c, 100);
+  FramePool::Free(d, 100);
+  void* e = tp.Alloc(120);  // Same size class, LIFO: reuses d's block.
   EXPECT_EQ(e, d);
   EXPECT_EQ(tp.stats().pool_hits, hits_before + 1);
   void* f = tp.Alloc(100);  // Then c's.
   EXPECT_EQ(f, c);
-  FramePool::Free(e);
-  FramePool::Free(f);
+  FramePool::Free(e, 120);
+  FramePool::Free(f, 100);
 }
 
 TEST(FramePoolTest, OversizeBypassesPool) {
   FramePool& tp = FramePool::ForThread();
-  const uint64_t oversize_before = tp.stats().oversize;
-  void* p = tp.Alloc(FramePool::kMaxPooledBytes + 1);
-  EXPECT_EQ(tp.stats().oversize, oversize_before + 1);
-  std::memset(p, 0xab, FramePool::kMaxPooledBytes + 1);
-  FramePool::Free(p);  // Straight back to ::operator delete.
+  const FramePool::Stats before = tp.stats();
+  void* p = tp.Alloc(kMaxPooled + 1);
+  std::memset(p, 0xab, kMaxPooled + 1);
+  FramePool::Free(p, kMaxPooled + 1);  // Straight back to ::operator delete.
+  void* q = tp.Alloc(kMaxPooled + 1);  // Never served from a free list.
+  EXPECT_EQ(tp.stats().allocs, before.allocs + 2);
+  EXPECT_EQ(tp.stats().pool_hits, before.pool_hits);
+  FramePool::Free(q, kMaxPooled + 1);
 }
 
 // Randomized workload against a reference model: the pool must serve exactly
@@ -64,7 +68,7 @@ TEST(FramePoolTest, RandomizedAgainstReferenceModel) {
   FramePool& tp = FramePool::ForThread();
   struct Live {
     void* p;
-    std::size_t payload;
+    std::size_t size;
     uint8_t fill;
   };
   std::vector<Live> live;
@@ -72,9 +76,8 @@ TEST(FramePoolTest, RandomizedAgainstReferenceModel) {
   asfcommon::Rng rng(20260807);
   for (int step = 0; step < 20000; ++step) {
     if (live.empty() || rng.NextBelow(100) < 55) {
-      std::size_t size = 1 + rng.NextBelow(FramePool::kMaxPooledBytes);
-      const std::size_t payload = FramePool::RoundUp(size);
-      const std::size_t bucket = FramePool::BucketOf(payload);
+      std::size_t size = 1 + rng.NextBelow(kMaxPooled);
+      const std::size_t bucket = FramePool::BucketOf(size);
       void* expected = nullptr;
       if (!model_free[bucket].empty()) {
         expected = model_free[bucket].back();
@@ -86,58 +89,61 @@ TEST(FramePoolTest, RandomizedAgainstReferenceModel) {
       }
       uint8_t fill = static_cast<uint8_t>(rng.Next());
       std::memset(p, fill, size);
-      live.push_back(Live{p, payload, fill});
+      live.push_back(Live{p, size, fill});
     } else {
       std::size_t idx = rng.NextBelow(live.size());
       Live victim = live[idx];
       live[idx] = live.back();
       live.pop_back();
       // The block's contents must be exactly what we wrote (no cross-block
-      // interference from pool bookkeeping).
+      // interference from free-list links).
       const uint8_t* bytes = static_cast<const uint8_t*>(victim.p);
       ASSERT_EQ(bytes[0], victim.fill);
-      const std::size_t bucket = FramePool::BucketOf(victim.payload);
-      const bool listed = tp.free_blocks(bucket) < FramePool::kMaxFreePerBucket;
-      FramePool::Free(victim.p);
-      if (listed) {
-        model_free[bucket].push_back(victim.p);
-      }
+      ASSERT_EQ(bytes[victim.size - 1], victim.fill);
+      FramePool::Free(victim.p, victim.size);
+      model_free[FramePool::BucketOf(victim.size)].push_back(victim.p);
     }
   }
   for (const Live& l : live) {
-    FramePool::Free(l.p);
+    FramePool::Free(l.p, l.size);
   }
 }
 
-// Blocks from a pool that is not the calling thread's ForThread() instance
-// are "foreign": Free must return them to the host allocator, never to the
-// caller's free lists (this is the cross-thread path; a second local pool
-// exercises it without spawning a thread).
-TEST(FramePoolTest, ForeignBlocksGoBackToHostAllocator) {
-  FramePool pool;
-  FramePool& tp = FramePool::ForThread();
-  const uint64_t foreign_before = tp.stats().foreign_frees;
-  void* a = pool.Alloc(200);
-  FramePool::Free(a);
-  EXPECT_EQ(tp.stats().foreign_frees, foreign_before + 1);
-  for (std::size_t b = 0; b < FramePool::kNumBuckets; ++b) {
-    EXPECT_EQ(pool.free_blocks(b), 0u);  // Nothing landed in either pool.
-  }
+// A block carries no owner: one allocated on thread A and freed on thread B
+// joins B's free list and serves B's next allocation of its size class.
+TEST(FramePoolTest, FrameFreedOnAnotherThreadIsReusedThere) {
+  void* from_a = nullptr;
+  std::thread a([&] { from_a = FramePool::ForThread().Alloc(300); });
+  a.join();
+  void* reused = nullptr;
+  uint64_t hits = 0;
+  std::thread b([&] {
+    FramePool& pool = FramePool::ForThread();
+    FramePool::Free(from_a, 300);
+    reused = pool.Alloc(300);
+    hits = pool.stats().pool_hits;
+    FramePool::Free(reused, 300);
+  });
+  b.join();
+  EXPECT_EQ(reused, from_a);
+  EXPECT_EQ(hits, 1u);
 }
 
-TEST(FramePoolTest, TrimReleasesFreeLists) {
+#ifdef ASF_FRAME_POOL_ASAN
+// A parked block is poisoned, link included, so touching a recycled frame
+// trips ASan; reuse unpoisons the whole block.
+TEST(FramePoolTest, ParkedBlocksArePoisonedUnderAsan) {
   FramePool& tp = FramePool::ForThread();
-  void* a = tp.Alloc(200);
-  void* b = tp.Alloc(200);
-  FramePool::Free(a);
-  FramePool::Free(b);
-  const std::size_t bucket = FramePool::BucketOf(FramePool::RoundUp(200));
-  EXPECT_GE(tp.free_blocks(bucket), 2u);
-  tp.Trim();
-  for (std::size_t bkt = 0; bkt < FramePool::kNumBuckets; ++bkt) {
-    EXPECT_EQ(tp.free_blocks(bkt), 0u);
-  }
+  void* p = tp.Alloc(200);
+  FramePool::Free(p, 200);
+  EXPECT_TRUE(__asan_address_is_poisoned(p));
+  EXPECT_TRUE(__asan_address_is_poisoned(static_cast<char*>(p) + 255));
+  void* q = tp.Alloc(200);
+  ASSERT_EQ(q, p);
+  EXPECT_EQ(__asan_region_is_poisoned(q, 256), nullptr);
+  FramePool::Free(q, 200);
 }
+#endif
 
 // --- Coroutine integration: reuse across abort/retry ------------------------
 
@@ -154,7 +160,8 @@ asfsim::Task<void> Attempt(int* counter) {
 
 // Runs an "attempt" to completion (resuming from its initial suspend), the
 // shape a committed transaction has; the frames are freed on Task
-// destruction and must be recycled by the next attempt.
+// destruction and must be recycled by the next attempt. A 100% hit rate also
+// pins that the sized delete reports the size the frame was allocated with.
 TEST(FramePoolTest, CoroutineFramesRecycleAcrossAttempts) {
   FramePool& tp = FramePool::ForThread();
   int counter = 0;

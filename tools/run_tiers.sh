@@ -9,8 +9,8 @@
 # The TSan tier runs only the `host_threads` label on purpose: the simulator
 # itself is single-host-threaded (one Machine per host thread), so the only
 # code that runs host threads concurrently is the sweep fan-out (sweep_test),
-# the thread-local coroutine frame pool and its foreign-block adoption
-# (frame_pool_test), and perf_selfcheck's serial-vs-`--jobs` smoke run
+# the thread-local coroutine frame pool and a frame handed from one thread to
+# another (frame_pool_test), and perf_selfcheck's serial-vs-`--jobs` smoke run
 # (bench_smoke_perf_selfcheck), whose two passes must produce identical
 # digests. The full suite under TSan's ~10x slowdown would dominate the wall
 # clock without adding race coverage.
